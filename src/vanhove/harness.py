@@ -33,6 +33,7 @@ from .kernels import (
     RegularKernel,
     SingularKernel,
     StateFunctional,
+    grid_size_for_spacing,
     make_grid,
     pair,
     validate_state,
@@ -53,6 +54,11 @@ from .wigner import (
     write_phase_field,
 )
 from . import cosmology as cosmo
+
+
+# Fraction of the recurrence time up to which dephasing on a finite grid
+# is physical; later samples are aliasing artefacts of the grid.
+RECURRENCE_WINDOW = 0.8
 
 
 class StageError(VanHoveError):
@@ -218,12 +224,33 @@ def compare_oracle(config: dict, out_dir, seed: int | None = None) -> dict:
 # kind runners
 
 
+def _build_dephasing(config):
+    """Grid, times, state and observable of an evolve or weak-limit run;
+    times outside the recurrence window are refused before the kernels
+    are built."""
+    grid = _grid_from(config["grid"])
+    times = _times_from(config["times"])
+    t_max = float(np.max(np.abs(times)))
+    limit = RECURRENCE_WINDOW * recurrence_time(grid)
+    if t_max > limit:
+        needed = grid_size_for_spacing(
+            config["grid"]["omega_max"],
+            2.0 * np.pi * RECURRENCE_WINDOW / t_max,
+            config["grid"].get("scheme", "uniform"),
+        )
+        raise ConfigError(
+            f"times reach t = {t_max:g}, past {RECURRENCE_WINDOW} * recurrence_time "
+            f"= {limit:.6g} of the n={grid.size} grid, where dephasing is grid "
+            f"aliasing; use grid n >= {needed}"
+        )
+    state = _state_from(grid, config["state"])
+    obs = _observable_from(grid, config["observable"])
+    return grid, state, obs, times
+
+
 def _run_evolve(config, run: _Run, threads: int, seed) -> None:
     with run.stage("build"):
-        grid = _grid_from(config["grid"])
-        state = _state_from(grid, config["state"])
-        obs = _observable_from(grid, config["observable"])
-        times = _times_from(config["times"])
+        grid, state, obs, times = _build_dephasing(config)
     with run.stage("decay-profile"):
         profile = decay_profile(state, obs, times)
         _record_csv(run, "decay.csv", profile.to_csv)
@@ -261,10 +288,7 @@ def _run_evolve(config, run: _Run, threads: int, seed) -> None:
 
 def _run_weak_limit(config, run: _Run, threads: int, seed) -> None:
     with run.stage("build"):
-        grid = _grid_from(config["grid"])
-        state = _state_from(grid, config["state"])
-        obs = _observable_from(grid, config["observable"])
-        times = _times_from(config["times"])
+        grid, state, obs, times = _build_dephasing(config)
     with run.stage("weak-limit"):
         limit = weak_limit(state)
 

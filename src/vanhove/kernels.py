@@ -135,6 +135,23 @@ def make_grid(omega_max: float, n: int, scheme: str = "uniform") -> EnergyGrid:
     return EnergyGrid(points, weights)
 
 
+def grid_size_for_spacing(omega_max: float, spacing: float, scheme: str = "uniform") -> int:
+    """Smallest n for which make_grid(omega_max, n, scheme) has minimum
+    spacing at most ``spacing`` (> 0), from each scheme's closed-form
+    smallest gap."""
+    if scheme == "uniform":
+        # gap omega_max / (n - 1)
+        intervals = omega_max / spacing
+    elif scheme == "chebyshev":
+        # end gap (omega_max / 2)(1 - cos(pi / (n - 1))) = omega_max sin^2(pi / (2 (n - 1)))
+        intervals = np.pi / (2.0 * np.arcsin(np.sqrt(min(spacing / omega_max, 1.0))))
+    else:
+        raise ValueError(f"unknown quadrature scheme {scheme!r}")
+    if not np.isfinite(intervals):
+        raise ValueError(f"no grid on [0, {omega_max}] has spacing {spacing!r}")
+    return int(np.ceil(intervals)) + 1
+
+
 @dataclass(frozen=True)
 class SingularKernel:
     """Diagonal kernel channel: one complex sample f(w_i) per grid point."""
@@ -170,7 +187,10 @@ class RegularKernel:
             raise ValueError("regular kernel contains non-finite entries")
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.values - self.values.conj().T)))
+        # |conj(f_ij) - f_ji| = |f_ij - conj(f_ji)|, with one complex n x n temporary
+        diff = self.values.conj()
+        diff -= self.values.T
+        return float(np.max(np.abs(diff)))
 
 
 def zero_singular(grid: EnergyGrid) -> SingularKernel:

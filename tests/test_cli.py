@@ -222,6 +222,43 @@ class TestWeakLimitKind:
         assert rc == 1
 
 
+class TestRecurrenceRefusal:
+    @staticmethod
+    def run(tmp_path, kind, grid, stop):
+        cfg = gaussian_evolve_config()
+        cfg["kind"] = kind
+        cfg["grid"] = grid
+        cfg["times"] = {"start": 0.0, "stop": stop, "count": 5}
+        return main([kind, "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("kind", ["evolve", "weak-limit"])
+    def test_stop_past_window_is_2(self, tmp_path, capsys, kind):
+        # n=64 on [0, 10]: 0.8 * recurrence_time = 0.8 * 2 pi * 63 / 10 = 31.7
+        rc = self.run(tmp_path, kind, {"omega_max": 10.0, "n": 64}, 40.0)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "recurrence_time" in err
+        assert "n >= 81" in err
+        assert not any((tmp_path / "out").glob("*.csv"))
+
+    def test_time_beyond_any_grid_is_2(self, tmp_path, capsys):
+        rc = self.run(tmp_path, "evolve", {"omega_max": 10.0, "n": 64}, 1e308)
+        assert rc == 2
+        assert "no grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scheme, stop, needed",
+        [("uniform", 40.0, 81), ("chebyshev", 100.0, 24)],
+    )
+    def test_named_n_is_the_smallest_accepted(self, tmp_path, capsys, scheme, stop, needed):
+        grid = {"omega_max": 10.0, "n": needed - 1, "scheme": scheme}
+        assert self.run(tmp_path, "evolve", grid, stop) == 2
+        assert f"n >= {needed}" in capsys.readouterr().err
+        grid["n"] = needed
+        assert self.run(tmp_path, "evolve", grid, stop) == 0
+
+
 class TestWignerKind:
     def test_run_and_binary(self, tmp_path):
         from vanhove import read_phase_field
