@@ -22,6 +22,7 @@ from itertools import product
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from ._csv import write_csv
 from .errors import (
     DegenerateSupportError,
     GridMismatchError,
@@ -141,10 +142,8 @@ class ScaleFactorSolution:
             object.__setattr__(self, name, arr)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("eta,a,S\n")
-            for eta, a, s in zip(self.eta_samples, self.a_samples, self.s_samples):
-                fh.write(f"{eta:.16e},{a:.16e},{s:.16e}\n")
+        columns = [self.eta_samples, self.a_samples, self.s_samples]
+        write_csv(path, ["eta", "a", "S"], columns)
 
 
 def solve_scale_factor(
@@ -515,11 +514,11 @@ class TrajectoryEnsemble:
             raise ValueError(f"trajectory probabilities sum to {total!r}, expected 1")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("component,l_values,a0,probability\n")
-            for i, e in enumerate(self.entries):
-                ls = ";".join(f"{v:.16e}" for v in e.l_values)
-                fh.write(f"{i},{ls},{e.a0:.16e},{e.probability:.16e}\n")
+        header = ["component", "l_values", "a0", "probability"]
+        l_cells = [";".join(f"{v:.16e}" for v in e.l_values) for e in self.entries]
+        a0 = [e.a0 for e in self.entries]
+        probability = [e.probability for e in self.entries]
+        write_csv(path, header, [range(len(a0)), l_cells, a0, probability])
 
 
 def trajectory_ensemble(

@@ -17,11 +17,11 @@ every grid point: header ``omega,re,im`` for singular kernels and
 """
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
+from ._csv import read_csv
 from .errors import ConfigError
 from .kernels import (
     EnergyGrid,
@@ -65,7 +65,7 @@ def singular_from_descriptor(grid: EnergyGrid, desc: dict) -> SingularKernel:
         return SingularKernel(grid, values)
     if kind == "table":
         return _singular_from_csv(grid, Path(desc["path"]))
-    return SingularKernel(grid, _profile(grid.points, desc).astype(complex))
+    return SingularKernel(grid, _profile(grid.points, desc))
 
 
 def regular_from_descriptor(grid: EnergyGrid, desc: dict) -> RegularKernel:
@@ -85,7 +85,7 @@ def regular_from_descriptor(grid: EnergyGrid, desc: dict) -> RegularKernel:
         outer = np.outer(profile, profile) / amp
     else:
         outer = np.zeros((grid.size, grid.size))
-    return RegularKernel(grid, outer.astype(complex))
+    return RegularKernel(grid, outer)
 
 
 def state_from_descriptors(
@@ -128,25 +128,6 @@ def observable_from_descriptors(
     return Observable(sing, reg, self_adjoint=self_adjoint)
 
 
-def _read_rows(path: Path, header: list[str]) -> list[list[float]]:
-    if not path.exists():
-        raise ConfigError(f"kernel table not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise ConfigError(f"kernel table {path} is empty") from None
-        if [c.strip() for c in first] != header:
-            raise ConfigError(
-                f"kernel table {path} has header {first}, expected {header}"
-            )
-        try:
-            return [[float(c) for c in row] for row in reader if row]
-        except ValueError as exc:
-            raise ConfigError(f"kernel table {path}: {exc}") from None
-
-
 def _grid_index(grid: EnergyGrid, omega: float, path: Path) -> int:
     k = int(np.argmin(np.abs(grid.points - omega)))
     scale = max(abs(grid.omega_max), 1.0)
@@ -157,7 +138,7 @@ def _grid_index(grid: EnergyGrid, omega: float, path: Path) -> int:
 
 def _singular_from_csv(grid: EnergyGrid, path: Path) -> SingularKernel:
     values = np.full(grid.size, np.nan, dtype=complex)
-    for omega, re, im in _read_rows(path, ["omega", "re", "im"]):
+    for omega, re, im in read_csv(path, ["omega", "re", "im"]):
         values[_grid_index(grid, omega, path)] = re + 1j * im
     if np.any(np.isnan(values)):
         raise ConfigError(f"table {path} does not cover every grid point")
@@ -166,9 +147,7 @@ def _singular_from_csv(grid: EnergyGrid, path: Path) -> SingularKernel:
 
 def _regular_from_csv(grid: EnergyGrid, path: Path) -> RegularKernel:
     values = np.full((grid.size, grid.size), np.nan, dtype=complex)
-    for omega, omega_p, re, im in _read_rows(
-        path, ["omega", "omega_prime", "re", "im"]
-    ):
+    for omega, omega_p, re, im in read_csv(path, ["omega", "omega_prime", "re", "im"]):
         i = _grid_index(grid, omega, path)
         j = _grid_index(grid, omega_p, path)
         values[i, j] = re + 1j * im

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
 from .errors import GridMismatchError
 from .kernels import RegularKernel, Observable, StateFunctional, pair, zero_regular
 
@@ -86,10 +87,8 @@ class DecayProfile:
 
     def to_csv(self, path) -> None:
         """Write columns t, offdiag_abs, expectation (17 significant digits)."""
-        with open(path, "w", newline="") as fh:
-            fh.write("t,offdiag_abs,expectation\n")
-            for t, off, ex in zip(self.times, self.offdiag_abs, self.expectations):
-                fh.write(f"{t:.16e},{off:.16e},{ex:.16e}\n")
+        columns = [self.times, self.offdiag_abs, self.expectations]
+        write_csv(path, ["t", "offdiag_abs", "expectation"], columns)
 
 
 def decay_profile(

@@ -8,16 +8,17 @@ byte-identical artifacts.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._csv import read_csv, write_csv
 from .config import RANDOM_GENERATOR, config_hash
 from .descriptors import observable_from_descriptors, state_from_descriptors
 from .errors import ConfigError, VanHoveError
@@ -82,49 +83,41 @@ class _Run:
     artifacts: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
-    def stage(self, name):
-        return _StageTimer(self, name)
+    @contextmanager
+    def stage(self, name: str):
+        t0 = time.perf_counter()
+        try:
+            yield
+        except ValueError as exc:
+            # bad experiment setups surface as ValueError subclasses from the
+            # modules; annotate them with the stage (stages do not nest) and
+            # keep the exit contract
+            raise StageError(f"stage '{name}': {exc}") from exc
+        finally:
+            self.stages.append({"name": name, "seconds": time.perf_counter() - t0})
 
-    def record(self, path: Path) -> None:
+    def record(self, name: str, write) -> None:
+        """Write the artifact ``name`` with ``write(path)`` and checksum it."""
+        path = self.out_dir / name
+        write(path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         self.artifacts.append(
-            {"path": path.name, "sha256": digest, "bytes": path.stat().st_size}
+            {"path": name, "sha256": digest, "bytes": path.stat().st_size}
         )
 
 
-class _StageTimer:
-    def __init__(self, run: _Run, name: str):
-        self.run, self.name = run, name
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, _tb):
-        self.run.stages.append(
-            {"name": self.name, "seconds": time.perf_counter() - self.t0}
-        )
-        # bad experiment setups surface as ValueError subclasses from the
-        # modules; annotate them with the stage and keep the exit contract
-        if exc is not None and isinstance(exc, ValueError) and not isinstance(exc, StageError):
-            raise StageError(f"stage '{self.name}': {exc}") from exc
-        return False
-
-
-def _write_json(run: _Run, name: str, payload: dict) -> Path:
-    path = run.out_dir / name
+def _dump_json(payload: dict, path: Path) -> None:
     with open(path, "w", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    run.record(path)
-    return path
 
 
-def _record_csv(run: _Run, name: str, writer) -> Path:
-    path = run.out_dir / name
-    writer(path)
-    run.record(path)
-    return path
+def _write_json(run: _Run, name: str, payload: dict) -> None:
+    run.record(name, lambda path: _dump_json(payload, path))
+
+
+def _write_csv(run: _Run, name: str, header: list[str], columns) -> None:
+    run.record(name, lambda path: write_csv(path, header, columns))
 
 
 def _grid_from(cfg: dict):
@@ -163,9 +156,7 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _require_seed(config: dict, seed: int | None) -> int:
-    if seed is None:
-        seed = config.get("seed")
+def _require_seed(seed: int | None) -> int:
     if seed is None:
         raise ConfigError(
             "this experiment draws random inputs; provide 'seed' in the config "
@@ -183,7 +174,7 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
     run = _Run(out_dir=out_dir)
     kind = config["kind"]
-    effective_seed = seed if seed is not None else config.get("seed")
+    seed = config.get("seed") if seed is None else seed
 
     runner = {
         "evolve": _run_evolve,
@@ -199,15 +190,13 @@ def run_experiment(
         "kind": kind,
         "config_hash": config_hash(config),
         "tool_version": __version__,
-        "seed": effective_seed,
-        "random_generator": RANDOM_GENERATOR if effective_seed is not None else None,
+        "seed": seed,
+        "random_generator": RANDOM_GENERATOR if seed is not None else None,
         "threads": threads,
         "stages": run.stages,
         "artifacts": sorted(run.artifacts, key=lambda a: a["path"]),
     }
-    with open(out_dir / "manifest.json", "w", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_json(manifest, out_dir / "manifest.json")
     return RunResult(manifest=manifest, failures=run.failures)
 
 
@@ -253,7 +242,7 @@ def _run_evolve(config, run: _Run, threads: int, seed) -> None:
         grid, state, obs, times = _build_dephasing(config)
     with run.stage("decay-profile"):
         profile = decay_profile(state, obs, times)
-        _record_csv(run, "decay.csv", profile.to_csv)
+        run.record("decay.csv", profile.to_csv)
     with run.stage("summary"):
         summary = {
             "diag_value": float(profile.diag_value),
@@ -291,17 +280,11 @@ def _run_weak_limit(config, run: _Run, threads: int, seed) -> None:
         grid, state, obs, times = _build_dephasing(config)
     with run.stage("weak-limit"):
         limit = weak_limit(state)
-
-        def write_limit(path):
-            with open(path, "w", newline="") as fh:
-                fh.write("omega,rho\n")
-                for w, r in zip(grid.points, limit.singular.values.real):
-                    fh.write(f"{w:.16e},{r:.16e}\n")
-
-        _record_csv(run, "limit_state.csv", write_limit)
+        columns = [grid.points, limit.singular.values.real]
+        _write_csv(run, "limit_state.csv", ["omega", "rho"], columns)
     with run.stage("agreement"):
         profile = decay_profile(state, obs, times)
-        _record_csv(run, "agreement.csv", profile.to_csv)
+        run.record("agreement.csv", profile.to_csv)
         t_min = config.get("t_min", float(times[0]))
         tolerance = config.get("tolerance", 1e-6)
         window = times >= t_min
@@ -334,8 +317,8 @@ def _run_wigner(config, run: _Run, threads: int, seed) -> None:
         )
     with run.stage("state-density"):
         density = classical_state_density(state.singular, hfield, policy)
-        _record_csv(run, "density.wpf", lambda p: write_phase_field(density.field, p))
-        _record_csv(run, "density.csv", lambda p: phase_field_to_csv(density.field, p))
+        run.record("density.wpf", lambda p: write_phase_field(density.field, p))
+        run.record("density.csv", lambda p: phase_field_to_csv(density.field, p))
     with run.stage("summary"):
         summary = {
             "epsilon": float(policy.epsilon),
@@ -367,19 +350,8 @@ def _load_potential(cfg: dict) -> cosmo.Potential:
     path = cfg.get("path")
     if path is None:
         raise ConfigError("table potential needs a 'path'")
-    if not Path(path).exists():
-        raise ConfigError(f"potential table not found: {path}")
-    a_samples, v_samples = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["a", "V"]:
-            raise ConfigError(f"potential table {path} must have header 'a,V'")
-        for row in reader:
-            if row:
-                a_samples.append(float(row[0]))
-                v_samples.append(float(row[1]))
-    return cosmo.table_potential(a_samples, v_samples, cfg["a1"])
+    rows = read_csv(Path(path), ["a", "V"])
+    return cosmo.table_potential([r[0] for r in rows], [r[1] for r in rows], cfg["a1"])
 
 
 def _mode_set_from(cfg: dict) -> cosmo.ModeSet:
@@ -396,12 +368,12 @@ def _mode_set_from(cfg: dict) -> cosmo.ModeSet:
     return cosmo.ModeSet(k, cfg["m"], cfg["a_out"])
 
 
-def _cosmo_state_from(cfg: dict, basis, eps_shell: float, config, seed) -> cosmo.CosmoState:
+def _cosmo_state_from(cfg: dict, basis, eps_shell: float, seed) -> cosmo.CosmoState:
     kind = cfg["type"]
     if kind == "uniform":
         return cosmo.uniform_cosmo_state(basis, eps_shell)
     if kind == "random":
-        rng = _rng(_require_seed(config, seed))
+        rng = _rng(_require_seed(seed))
         return cosmo.random_cosmo_state(basis, rng, cfg.get("coherence", 1.0), eps_shell)
     re = np.asarray(cfg["re"], dtype=float)
     im = np.asarray(cfg.get("im", np.zeros_like(re)), dtype=float)
@@ -419,7 +391,7 @@ def _run_cosmo(config, run: _Run, threads: int, seed) -> None:
             config.get("tol", 1e-10),
             config.get("samples", 513),
         )
-        _record_csv(run, "scale_factor.csv", solution.to_csv)
+        run.record("scale_factor.csv", solution.to_csv)
     with run.stage("fock-basis"):
         mode_set = _mode_set_from(config["modes"])
         if mode_set.a_out <= potential.a1:
@@ -429,31 +401,15 @@ def _run_cosmo(config, run: _Run, threads: int, seed) -> None:
             )
         basis = cosmo.enumerate_fock(mode_set, config["n_max"], config.get("omega_cut"))
         eps_shell = config.get("eps_shell", cosmo.DEFAULT_EPS_SHELL)
-        state = _cosmo_state_from(config["state"], basis, eps_shell, config, seed)
+        state = _cosmo_state_from(config["state"], basis, eps_shell, seed)
     with run.stage("equilibrate"):
         equilibrium = cosmo.cosmo_weak_limit(state)
         pointers = cosmo.diagonalize_remaining(equilibrium)
-
-        def write_spectrum(path):
-            with open(path, "w", newline="") as fh:
-                fh.write("omega,label,eigenvalue\n")
-                for basis_ in pointers:
-                    for idx, val in enumerate(basis_.eigenvalues):
-                        fh.write(f"{basis_.omega:.16e},{idx},{val:.16e}\n")
-
-        _record_csv(run, "spectrum.csv", write_spectrum)
-
-    adiabaticity = float(cosmo.adiabaticity_ratio(mode_set, potential))
-    summary = {
-        "freeze_eta": solution.freeze_eta,
-        "adiabaticity": adiabaticity,
-        "adiabatic": bool(adiabaticity < cosmo.ADIABATICITY_BOUND),
-        "basis_size": basis.size,
-        "truncated_count": basis.truncated_count,
-        "shell_count": len(state.shells),
-        "min_eigenvalue": float(state.min_eigenvalue()),
-        "cross_block_magnitude": float(state.cross_block_magnitude()),
-    }
+        header = ["omega", "label", "eigenvalue"]
+        omega = [pb.omega for pb in pointers for _ in range(pb.size)]
+        label = [i for pb in pointers for i in range(pb.size)]
+        value = [v for pb in pointers for v in pb.eigenvalues]
+        _write_csv(run, "spectrum.csv", header, [omega, label, value])
 
     if "trajectory" in config:
         with run.stage("trajectories"):
@@ -470,16 +426,28 @@ def _run_cosmo(config, run: _Run, threads: int, seed) -> None:
                 label_values=label_values,
                 threads=threads,
             )
-            _record_csv(run, "ensemble.csv", ensemble.to_csv)
-            _record_csv(run, "density.wpf", lambda p: write_phase_field(density.field, p))
-            _record_csv(run, "density.csv", lambda p: phase_field_to_csv(density.field, p))
+            run.record("ensemble.csv", ensemble.to_csv)
+            run.record("density.wpf", lambda p: write_phase_field(density.field, p))
+            run.record("density.csv", lambda p: phase_field_to_csv(density.field, p))
+
+    with run.stage("summary"):
+        adiabaticity = float(cosmo.adiabaticity_ratio(mode_set, potential))
+        summary = {
+            "freeze_eta": solution.freeze_eta,
+            "adiabaticity": adiabaticity,
+            "adiabatic": bool(adiabaticity < cosmo.ADIABATICITY_BOUND),
+            "basis_size": basis.size,
+            "truncated_count": basis.truncated_count,
+            "shell_count": len(state.shells),
+            "min_eigenvalue": float(state.min_eigenvalue()),
+            "cross_block_magnitude": float(state.cross_block_magnitude()),
+        }
+        if "trajectory" in config:
             degenerate = [i for i, e in enumerate(ensemble.entries) if e.degenerate]
             summary["components"] = len(ensemble.entries)
             summary["degenerate_components"] = degenerate
             summary["density_h_mass"] = float(density.h_mass())
             summary["density_edge_fraction"] = float(density.edge_fraction())
-
-    with run.stage("summary"):
         _write_json(run, "summary.json", summary)
 
 
@@ -519,7 +487,7 @@ def _run_oracle(config, run: _Run, threads: int, seed) -> None:
     target = config["target"]
     trials = config.get("trials", 100)
     tolerance = config.get("tolerance", 1e-10)
-    rng = _rng(_require_seed(config, seed))
+    rng = _rng(_require_seed(seed))
     max_abs = 0.0
     max_rel = 0.0
 

@@ -151,11 +151,3 @@ def pointer_state(shells: list[ShellState]) -> list[PointerBasis]:
             )
     return bases
 
-
-def pointer_spectra_csv(bases: list[PointerBasis], path) -> None:
-    """Export pointer spectra as rows omega,l_index,eigenvalue."""
-    with open(path, "w", newline="") as fh:
-        fh.write("omega,l_index,eigenvalue\n")
-        for basis in bases:
-            for idx, val in enumerate(basis.eigenvalues):
-                fh.write(f"{basis.omega:.16e},{idx},{val:.16e}\n")

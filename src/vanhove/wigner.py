@@ -6,6 +6,10 @@ densities peaked on the level sets H(q, p) = w0; Dirac deltas are
 represented by Gaussian mollifiers of explicit width epsilon (the finite
 stand-in for the hbar -> 0 peak width).
 
+One primitive, ``_mollified_constraints``, builds every mollified density:
+shells (``shell_density``), mixtures of shells (``classical_state_density``)
+and constraint products (``multi_invariant_density``).
+
 Functions of H alone are not integrable over the full (q, p) plane, so
 all masses and expectations here use the energy-integration prescription:
 phase cells are binned by their H value (bin width epsilon / 2), fields
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
 from .errors import DegenerateSupportError, DomainMismatchError, GridMismatchError
 from .kernels import SingularKernel
 
@@ -151,9 +156,7 @@ class ClassicalDensity:
 
     def h_mass(self) -> float:
         """Total mass under the H-binned energy integration."""
-        lo, width, nbins = _bin_layout(self.hfield.values, self.mollifier_width)
-        means = _bin_means(self.hfield.values, self.field.values, lo, width, nbins)
-        return float(means.sum() * width)
+        return _binned_mass(self.hfield, self.field.values, self.mollifier_width)
 
     def edge_fraction(self) -> float:
         """Share of plain phase-area mass sitting on the window border;
@@ -184,6 +187,21 @@ def _bin_means(hvalues, values, lo, width, nbins) -> np.ndarray:
 def _binned_mass(hfield: PhaseField, values: np.ndarray, epsilon: float) -> float:
     lo, width, nbins = _bin_layout(hfield.values, epsilon)
     return float(_bin_means(hfield.values, values, lo, width, nbins).sum() * width)
+
+
+def _mollified_constraints(levels, fields, epsilon: float) -> tuple[np.ndarray, float]:
+    """Product of Gaussian mollifiers prod_i exp(-(L_i - l_i)^2 / 2 eps^2)
+    and its mass under the H-binned prescription, the first field playing
+    the Hamiltonian.  Unchecked: callers validate domain, width and
+    degeneracy once per call."""
+    factors = (
+        np.exp(-((f.values - level) ** 2) / (2.0 * epsilon**2))
+        for level, f in zip(levels, fields)
+    )
+    raw = next(factors)
+    for factor in factors:
+        raw *= factor
+    return raw, _binned_mass(fields[0], raw, epsilon)
 
 
 def wigner_singular(obs_singular: SingularKernel, hfield: PhaseField) -> PhaseField:
@@ -228,8 +246,7 @@ def shell_density(
             f"(H spans [{h.min():.6g}, {h.max():.6g}])"
         )
     _check_epsilon(policy, [hfield])
-    raw = np.exp(-((h - omega0) ** 2) / (2.0 * policy.epsilon**2))
-    mass = _binned_mass(hfield, raw, policy.epsilon)
+    raw, mass = _mollified_constraints([omega0], [hfield], policy.epsilon)
     return ClassicalDensity(
         PhaseField(hfield.grid, raw / mass), policy.epsilon, hfield
     )
@@ -251,16 +268,15 @@ def classical_state_density(
     rho = rho_singular.values.real
     h = hfield.values
     lo_h, hi_h = float(h.min()), float(h.max())
-    lo, width, nbins = _bin_layout(h, policy.epsilon)
 
     out = np.zeros_like(h)
     for i in range(omegas.size):
         coeff = grid_w[i] * rho[i]
         if coeff == 0.0 or not (lo_h <= omegas[i] <= hi_h):
             continue
-        raw = np.exp(-((h - omegas[i]) ** 2) / (2.0 * policy.epsilon**2))
-        mass = float(_bin_means(h, raw, lo, width, nbins).sum() * width)
+        raw, mass = _mollified_constraints([omegas[i]], [hfield], policy.epsilon)
         out += (coeff / mass) * raw
+        del raw  # one shell alive at a time: the next one's binning needs room
     return ClassicalDensity(PhaseField(hfield.grid, out), policy.epsilon, hfield)
 
 
@@ -302,11 +318,7 @@ def multi_invariant_density(
             raise GridMismatchError("invariant fields live on different grids")
     _check_epsilon(policy, L_fields)
 
-    raw = np.ones((grid.nq, grid.np))
-    for lv, f in zip(l_values, L_fields):
-        raw *= np.exp(-((f.values - lv) ** 2) / (2.0 * policy.epsilon**2))
-    hfield = L_fields[0]
-    mass = _binned_mass(hfield, raw, policy.epsilon)
+    raw, mass = _mollified_constraints(l_values, L_fields, policy.epsilon)
     if mass < DEGENERATE_MASS_TOL:
         raise DegenerateSupportError(
             f"constraint product has raw mass {mass:.3e}; "
@@ -314,7 +326,7 @@ def multi_invariant_density(
             raw_mass=mass,
         )
     return ClassicalDensity(
-        PhaseField(grid, raw / mass), policy.epsilon, hfield
+        PhaseField(grid, raw / mass), policy.epsilon, L_fields[0]
     )
 
 
@@ -426,9 +438,6 @@ def read_phase_field(path) -> PhaseField:
 
 def phase_field_to_csv(field: PhaseField, path) -> None:
     """Rows q,p,value with 17 significant digits, q-major order."""
-    q, p = field.grid.q, field.grid.p
-    with open(path, "w", newline="") as fh:
-        fh.write("q,p,value\n")
-        for i in range(field.grid.nq):
-            for j in range(field.grid.np):
-                fh.write(f"{q[i]:.16e},{p[j]:.16e},{field.values[i, j]:.16e}\n")
+    grid = field.grid
+    q, p = np.repeat(grid.q, grid.np), np.tile(grid.p, grid.nq)
+    write_csv(path, ["q", "p", "value"], [q, p, field.values.ravel()])

@@ -148,7 +148,8 @@ class TestExitCodes:
         assert "refuses" in capsys.readouterr().err
 
     def test_setup_error_is_2(self, tmp_path, capsys):
-        # wigner window that cannot reach any grid energy
+        # epsilon below the window's energy resolution: wigner raises a plain
+        # ValueError, which only the stage annotation turns into exit 2
         cfg = {
             "kind": "wigner",
             "grid": {"omega_max": 0.5, "n": 8},
@@ -160,7 +161,9 @@ class TestExitCodes:
         rc = main(["wigner", "--config", str(write_config(tmp_path, cfg)),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert "stage" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "stage 'state-density'" in err
+        assert "widen epsilon" in err
 
 
 class TestEvolveArtifacts:
@@ -328,6 +331,33 @@ class TestCosmoKind:
         assert sum(probs) == pytest.approx(1.0)
         scale = (out / "scale_factor.csv").read_text().splitlines()
         assert scale[0] == "eta,a,S"
+
+    def run_table_potential(self, tmp_path, table: str) -> int:
+        (tmp_path / "pot.csv").write_text(table)
+        cfg = self.config()
+        cfg["potential"] = {"family": "table", "path": "pot.csv", "a1": 1.0}
+        del cfg["trajectory"]
+        return main(["cosmo", "--config", str(write_config(tmp_path, cfg, "table.json")),
+                     "--out", str(tmp_path / "table")])
+
+    def test_table_potential(self, tmp_path):
+        # a flat table is the constant family sampled: same scale factor bytes
+        assert self.run_table_potential(tmp_path, "a,V\n0.0,2.0\n0.5,2.0\n1.0,2.0\n") == 0
+        cfg = self.config()
+        del cfg["trajectory"]
+        rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)),
+                   "--out", str(tmp_path / "constant")])
+        assert rc == 0
+        table = (tmp_path / "table" / "scale_factor.csv").read_bytes()
+        assert table == (tmp_path / "constant" / "scale_factor.csv").read_bytes()
+
+    def test_table_potential_wrong_header_is_2(self, tmp_path, capsys):
+        assert self.run_table_potential(tmp_path, "a,W\n0.0,2.0\n1.0,1.0\n") == 2
+        assert "header" in capsys.readouterr().err
+
+    def test_table_potential_non_numeric_cell_is_2(self, tmp_path, capsys):
+        assert self.run_table_potential(tmp_path, "a,V\n0.0,two\n1.0,1.0\n") == 2
+        assert "'two'" in capsys.readouterr().err
 
     def test_a_out_must_clear_support(self, tmp_path, capsys):
         cfg = self.config()

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from vanhove import InvalidShellError, PointerBasis, ShellState, diagonalize_shell, pointer_state
-from vanhove.pointer import pointer_spectra_csv
+from vanhove import InvalidShellError, ShellState, diagonalize_shell, pointer_state
 
 
 def jacobi_eigh(matrix, max_sweeps=60, tol=1e-14):
@@ -179,15 +178,3 @@ class TestPointerState:
         bases = pointer_state(shells)
         total_out = sum(b.eigenvalues.sum() for b in bases)
         assert abs(total_out - total_in) < 1e-10 * abs(total_in)
-
-    def test_csv_export(self, tmp_path):
-        bases = [
-            PointerBasis(0.5, [0.7, 0.3], np.eye(2, dtype=complex)),
-            PointerBasis(1.5, [1.0], np.eye(1, dtype=complex)),
-        ]
-        path = tmp_path / "spectra.csv"
-        pointer_spectra_csv(bases, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "omega,l_index,eigenvalue"
-        assert len(lines) == 4
-        assert lines[1].split(",")[1] == "0"
