@@ -45,7 +45,17 @@ def read_csv(path: Path, header: list[str]) -> list[list[float]]:
             raise ConfigError(f"table {path} is empty") from None
         if [c.strip() for c in first] != header:
             raise ConfigError(f"table {path} has header {first}, expected {header}")
-        try:
-            return [[float(c) for c in row] for row in reader if row]
-        except ValueError as exc:
-            raise ConfigError(f"table {path}: {exc}") from None
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ConfigError(
+                    f"table {path} line {reader.line_num} has {len(row)} cells, "
+                    f"expected {len(header)} ({','.join(header)})"
+                )
+            try:
+                rows.append([float(c) for c in row])
+            except ValueError as exc:
+                raise ConfigError(f"table {path} line {reader.line_num}: {exc}") from None
+        return rows

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -35,8 +34,10 @@ from .wigner import (
     ClassicalDensity,
     MollifierPolicy,
     PhaseField,
+    _check_epsilon,
+    _constraint_density,
+    _HBins,
     coordinate_field,
-    multi_invariant_density,
 )
 
 DEFAULT_EPS_SHELL = 1e-9
@@ -44,6 +45,9 @@ IMAG_TOL = 1e-10
 CROSS_BLOCK_TOL = 1e-10
 # geometry counts as frozen when |dOmega/deta| / Omega^2 stays below this
 ADIABATICITY_BOUND = 1e-3
+# relative slack of the Fock-enumeration prune: far above the rounding gap
+# (about 2 M ulps) between a running sum of M terms and np.dot of them
+_PRUNE_SLACK = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +333,11 @@ def enumerate_fock(
     ``n_max`` caps the occupancy of each mode; ``omega_cut`` (None for no
     cut) drops vectors whose total energy exceeds it.  The vacuum always
     survives.
+
+    The walk is depth-first over the modes.  Every frequency is positive,
+    so a prefix whose running energy passes the cut has no surviving
+    completion and is not extended; the cost scales with the kept vectors,
+    not with the (n_max + 1)^M occupancy box.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -336,14 +345,25 @@ def enumerate_fock(
         raise ValueError(f"omega_cut must be >= 0, got {omega_cut}")
     freqs = mode_set.frequencies()
     cut = np.inf if omega_cut is None else float(omega_cut)
+    # The running sum rounds differently from np.dot (by at most a few ulps
+    # per mode), so the prune tests against a slightly raised cut and never
+    # drops a vector that the exact leaf test below would keep.
+    prune_above = cut * (1.0 + _PRUNE_SLACK)
     kept: list[tuple[tuple[int, ...], float]] = []
-    dropped = 0
-    for occ in product(range(n_max + 1), repeat=freqs.size):
-        energy = float(np.dot(occ, freqs))
-        if energy <= cut:
-            kept.append((occ, energy))
-        else:
-            dropped += 1
+    stack = [((), 0.0)]
+    while stack:
+        prefix, partial = stack.pop()
+        if len(prefix) == freqs.size:
+            energy = float(np.dot(prefix, freqs))
+            if energy <= cut:
+                kept.append((prefix, energy))
+            continue
+        freq = float(freqs[len(prefix)])
+        for n in range(n_max + 1):
+            running = partial + n * freq
+            if running > prune_above:
+                break
+            stack.append((prefix + (n,), running))
     kept.sort(key=lambda item: (item[1], item[0]))
     occupations = tuple(occ for occ, _ in kept)
     energies = np.array([e for _, e in kept])
@@ -352,7 +372,7 @@ def enumerate_fock(
         occupations=occupations,
         energies=energies,
         labels=occupations,
-        truncated_count=dropped,
+        truncated_count=(n_max + 1) ** freqs.size - len(kept),
     )
 
 
@@ -572,6 +592,9 @@ def trajectory_ensemble(
 
     qfield = coordinate_field(grid)
     fields = list(invariant_fields) + [qfield]
+    # every component shares the fields and the width: check and bin once
+    _check_epsilon(policy, fields)
+    bins = _HBins(fields[0], policy.epsilon)
     uniform = 1.0 / len(a0_points)
 
     jobs = []
@@ -592,23 +615,21 @@ def trajectory_ensemble(
         if prob == 0.0:
             return TrajectoryEntry(lv, a0, prob), None
         try:
-            comp = multi_invariant_density(list(lv) + [a0], fields, policy)
+            comp = _constraint_density(list(lv) + [a0], fields, bins)
         except DegenerateSupportError:
             return TrajectoryEntry(lv, a0, prob, degenerate=True), None
         return TrajectoryEntry(lv, a0, prob), prob * comp.field.values
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(build, jobs))
-    else:
-        results = [build(job) for job in jobs]
-
+    # Contributions are added as they arrive, in job order, so the sum and
+    # its bytes do not depend on the thread count and finished components
+    # are not all held at once.
     acc = np.zeros((grid.nq, grid.np))
     entries = []
-    for entry, contribution in results:
-        entries.append(entry)
-        if contribution is not None:
-            acc += contribution
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+        for entry, contribution in pool.map(build, jobs):
+            entries.append(entry)
+            if contribution is not None:
+                acc += contribution
 
     density = ClassicalDensity(
         PhaseField(grid, acc), policy.epsilon, invariant_fields[0]

@@ -83,6 +83,7 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
         pivot = v[k]
         if pivot != 0:
             out[:, col] = v * (abs(pivot) / pivot)
+            out[k, col] = abs(pivot)  # the rotation leaves ~1e-19 of imaginary part
     return out
 
 

@@ -8,7 +8,8 @@ stand-in for the hbar -> 0 peak width).
 
 One primitive, ``_mollified_constraints``, builds every mollified density:
 shells (``shell_density``), mixtures of shells (``classical_state_density``)
-and constraint products (``multi_invariant_density``).
+and constraint products (``multi_invariant_density``, through the unchecked
+``_constraint_density`` that ``cosmology.trajectory_ensemble`` also calls).
 
 Functions of H alone are not integrable over the full (q, p) plane, so
 all masses and expectations here use the energy-integration prescription:
@@ -156,7 +157,7 @@ class ClassicalDensity:
 
     def h_mass(self) -> float:
         """Total mass under the H-binned energy integration."""
-        return _binned_mass(self.hfield, self.field.values, self.mollifier_width)
+        return _HBins(self.hfield, self.mollifier_width).mass(self.field.values)
 
     def edge_fraction(self) -> float:
         """Share of plain phase-area mass sitting on the window border;
@@ -169,39 +170,60 @@ class ClassicalDensity:
         return max((total - interior) / total, 0.0)
 
 
-def _bin_layout(hvalues: np.ndarray, epsilon: float) -> tuple[float, float, int]:
-    lo = float(hvalues.min())
-    hi = float(hvalues.max())
-    width = 0.5 * float(epsilon)
-    nbins = max(1, int(np.ceil((hi - lo) / width))) if hi > lo else 1
-    return lo, width, nbins
+class _HBins:
+    """Phase cells binned by their H value, bin width epsilon / 2.
+
+    Built once per (H field, epsilon) and reused for every field binned
+    against it."""
+
+    def __init__(self, hfield: PhaseField, epsilon: float):
+        h = hfield.values
+        lo = float(h.min())
+        hi = float(h.max())
+        self.epsilon = float(epsilon)
+        self.width = 0.5 * self.epsilon
+        nbins = max(1, int(np.ceil((hi - lo) / self.width))) if hi > lo else 1
+        self.index = np.clip(((h - lo) / self.width).astype(np.int64).ravel(), 0, nbins - 1)
+        self.counts = np.bincount(self.index, minlength=nbins)
+
+    def means(self, values: np.ndarray) -> np.ndarray:
+        """Per-bin average of ``values``; empty bins read 0."""
+        sums = np.bincount(self.index, weights=values.ravel(), minlength=self.counts.size)
+        return np.where(self.counts > 0, sums / np.maximum(self.counts, 1), 0.0)
+
+    def mass(self, values: np.ndarray) -> float:
+        """Bin averages integrated over H."""
+        return float(self.means(values).sum() * self.width)
 
 
-def _bin_means(hvalues, values, lo, width, nbins) -> np.ndarray:
-    idx = np.clip(((hvalues - lo) / width).astype(np.int64).ravel(), 0, nbins - 1)
-    counts = np.bincount(idx, minlength=nbins)
-    sums = np.bincount(idx, weights=values.ravel(), minlength=nbins)
-    return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-
-
-def _binned_mass(hfield: PhaseField, values: np.ndarray, epsilon: float) -> float:
-    lo, width, nbins = _bin_layout(hfield.values, epsilon)
-    return float(_bin_means(hfield.values, values, lo, width, nbins).sum() * width)
-
-
-def _mollified_constraints(levels, fields, epsilon: float) -> tuple[np.ndarray, float]:
+def _mollified_constraints(levels, fields, bins: _HBins) -> tuple[np.ndarray, float]:
     """Product of Gaussian mollifiers prod_i exp(-(L_i - l_i)^2 / 2 eps^2)
-    and its mass under the H-binned prescription, the first field playing
-    the Hamiltonian.  Unchecked: callers validate domain, width and
-    degeneracy once per call."""
+    and its mass under ``bins``, the H binning of the first field at width
+    eps.  Unchecked: callers validate domain, width and degeneracy."""
     factors = (
-        np.exp(-((f.values - level) ** 2) / (2.0 * epsilon**2))
+        np.exp(-((f.values - level) ** 2) / (2.0 * bins.epsilon**2))
         for level, f in zip(levels, fields)
     )
     raw = next(factors)
     for factor in factors:
         raw *= factor
-    return raw, _binned_mass(fields[0], raw, epsilon)
+    return raw, bins.mass(raw)
+
+
+def _constraint_density(levels, fields, bins: _HBins) -> ClassicalDensity:
+    """Renormalized constraint product; the unchecked step behind
+    ``multi_invariant_density``, for callers that have already checked the
+    fields and the width once.  Still raises DegenerateSupportError."""
+    raw, mass = _mollified_constraints(levels, fields, bins)
+    if mass < DEGENERATE_MASS_TOL:
+        raise DegenerateSupportError(
+            f"constraint product has raw mass {mass:.3e}; "
+            f"level values {list(levels)} have empty intersection",
+            raw_mass=mass,
+        )
+    return ClassicalDensity(
+        PhaseField(fields[0].grid, raw / mass), bins.epsilon, fields[0]
+    )
 
 
 def wigner_singular(obs_singular: SingularKernel, hfield: PhaseField) -> PhaseField:
@@ -246,7 +268,7 @@ def shell_density(
             f"(H spans [{h.min():.6g}, {h.max():.6g}])"
         )
     _check_epsilon(policy, [hfield])
-    raw, mass = _mollified_constraints([omega0], [hfield], policy.epsilon)
+    raw, mass = _mollified_constraints([omega0], [hfield], _HBins(hfield, policy.epsilon))
     return ClassicalDensity(
         PhaseField(hfield.grid, raw / mass), policy.epsilon, hfield
     )
@@ -268,15 +290,16 @@ def classical_state_density(
     rho = rho_singular.values.real
     h = hfield.values
     lo_h, hi_h = float(h.min()), float(h.max())
+    bins = _HBins(hfield, policy.epsilon)
 
     out = np.zeros_like(h)
     for i in range(omegas.size):
         coeff = grid_w[i] * rho[i]
         if coeff == 0.0 or not (lo_h <= omegas[i] <= hi_h):
             continue
-        raw, mass = _mollified_constraints([omegas[i]], [hfield], policy.epsilon)
+        raw, mass = _mollified_constraints([omegas[i]], [hfield], bins)
         out += (coeff / mass) * raw
-        del raw  # one shell alive at a time: the next one's binning needs room
+        del raw  # one shell alive at a time: the next one's Gaussian needs room
     return ClassicalDensity(PhaseField(hfield.grid, out), policy.epsilon, hfield)
 
 
@@ -285,11 +308,10 @@ def classical_expectation(rho_field: ClassicalDensity, obs_field: PhaseField) ->
     integrate the product over H only (never over the conjugate variable)."""
     if rho_field.field.grid != obs_field.grid:
         raise GridMismatchError("density and observable field grids differ")
-    h = rho_field.hfield.values
-    lo, width, nbins = _bin_layout(h, rho_field.mollifier_width)
-    rho_means = _bin_means(h, rho_field.field.values, lo, width, nbins)
-    obs_means = _bin_means(h, obs_field.values, lo, width, nbins)
-    return float((rho_means * obs_means).sum() * width)
+    bins = _HBins(rho_field.hfield, rho_field.mollifier_width)
+    rho_means = bins.means(rho_field.field.values)
+    obs_means = bins.means(obs_field.values)
+    return float((rho_means * obs_means).sum() * bins.width)
 
 
 def multi_invariant_density(
@@ -317,17 +339,7 @@ def multi_invariant_density(
         if f.grid != grid:
             raise GridMismatchError("invariant fields live on different grids")
     _check_epsilon(policy, L_fields)
-
-    raw, mass = _mollified_constraints(l_values, L_fields, policy.epsilon)
-    if mass < DEGENERATE_MASS_TOL:
-        raise DegenerateSupportError(
-            f"constraint product has raw mass {mass:.3e}; "
-            f"level values {l_values} have empty intersection",
-            raw_mass=mass,
-        )
-    return ClassicalDensity(
-        PhaseField(grid, raw / mass), policy.epsilon, L_fields[0]
-    )
+    return _constraint_density(l_values, L_fields, _HBins(L_fields[0], policy.epsilon))
 
 
 def mass_within(
@@ -340,7 +352,7 @@ def mass_within(
     masked = np.where(
         np.abs(field.values - center) <= halfwidth, density.field.values, 0.0
     )
-    return _binned_mass(density.hfield, masked, density.mollifier_width)
+    return _HBins(density.hfield, density.mollifier_width).mass(masked)
 
 
 def liouville_residual(density, hfield: PhaseField) -> float:

@@ -133,6 +133,19 @@ class TestExitCodes:
                    "--out", str(tmp_path / "out")])
         assert rc == 0
 
+    def test_kernel_table_long_row_is_2(self, tmp_path, capsys):
+        (tmp_path / "kern.csv").write_text("omega,re,im\n0.0,1.0,0.0,9\n10.0,1.0,0.0\n")
+        cfg = {
+            "kind": "validate",
+            "grid": {"omega_max": 10.0, "n": 2},
+            "state": {"singular": {"type": "table", "path": "kern.csv"}},
+        }
+        rc = main(["validate", "--config", str(write_config(tmp_path, cfg)),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "kern.csv line 2 has 4 cells, expected 3 (omega,re,im)" in err
+
     def test_oracle_requires_seed(self, tmp_path, capsys):
         cfg = {"kind": "oracle", "target": "pair", "n": 8, "trials": 2}
         rc = main(["oracle", "--config", str(write_config(tmp_path, cfg)),
@@ -358,6 +371,16 @@ class TestCosmoKind:
     def test_table_potential_non_numeric_cell_is_2(self, tmp_path, capsys):
         assert self.run_table_potential(tmp_path, "a,V\n0.0,two\n1.0,1.0\n") == 2
         assert "'two'" in capsys.readouterr().err
+
+    def test_table_potential_short_row_is_2(self, tmp_path, capsys):
+        assert self.run_table_potential(tmp_path, "a,V\n0.0\n1.0,1.0\n") == 2
+        err = capsys.readouterr().err
+        assert "pot.csv line 2 has 1 cells, expected 2 (a,V)" in err
+
+    def test_table_potential_extra_column_is_2(self, tmp_path, capsys):
+        assert self.run_table_potential(tmp_path, "a,V\n0.0,2.0\n1.0,2.0,7.0\n") == 2
+        err = capsys.readouterr().err
+        assert "pot.csv line 3 has 3 cells, expected 2 (a,V)" in err
 
     def test_a_out_must_clear_support(self, tmp_path, capsys):
         cfg = self.config()

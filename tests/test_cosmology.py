@@ -514,6 +514,62 @@ class TestTrajectoryEnsemble:
         assert np.array_equal(d1.field.values, d2.field.values)
         assert e1.entries == e2.entries
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_density_is_the_job_order_sum_of_public_components(self, threads):
+        from vanhove import DegenerateSupportError, ShellState, pointer_state
+        from vanhove.wigner import coordinate_field
+
+        # shell 0 carries probability 0; the level of (2, 0) is unreachable
+        pointer = pointer_state([
+            ShellState(0.0, (0,), [[0.0]]),
+            ShellState(0.5, (0, 1), [[0.4, 0.1], [0.1, 0.4]]),
+            ShellState(1.0, (0,), [[0.2]]),
+        ])
+        pgrid, pfield, policy = self.phase_setup(n=101)
+        values = {(0, 0): (0.3,), (1, 0): (1.0,), (1, 1): (-1.0,), (2, 0): (50.0,)}
+        a0_points = [-0.3, 0.2]
+        ensemble, density = trajectory_ensemble(
+            pointer, [pfield], policy, a0_points, values, threads=threads
+        )
+        jobs = [
+            (values[(si, ei)], a0, max(float(eig), 0.0) / len(a0_points))
+            for si, pb in enumerate(pointer)
+            for ei, eig in enumerate(pb.eigenvalues)
+            for a0 in a0_points
+        ]
+        entries = ensemble.entries
+        assert [(e.l_values, e.a0, e.probability) for e in entries] == jobs
+        assert sum(prob == 0.0 for _, _, prob in jobs) == len(a0_points)
+        assert sum(e.degenerate for e in entries) == len(a0_points)
+
+        fields = [pfield, coordinate_field(pgrid)]
+        ref = np.zeros((pgrid.nq, pgrid.np))
+        for (l_values, a0, prob), entry in zip(jobs, entries):
+            levels = list(l_values) + [a0]
+            if entry.degenerate:
+                with pytest.raises(DegenerateSupportError):
+                    multi_invariant_density(levels, fields, policy)
+            elif prob > 0.0:
+                component = multi_invariant_density(levels, fields, policy)
+                ref += prob * component.field.values
+        assert np.array_equal(density.field.values, ref)
+
+    def test_unresolved_epsilon_refused_before_any_component(self):
+        state = mixed_degenerate_state()
+        pointer = diagonalize_remaining(state)
+        pgrid, pfield, _ = self.phase_setup(n=101)
+        labelled = []
+
+        def label_values(si, ei, basis):
+            labelled.append((si, ei))
+            return (basis.omega,)
+
+        with pytest.raises(ValueError, match="widen epsilon"):
+            trajectory_ensemble(
+                pointer, [pfield], MollifierPolicy(0.5 * pgrid.dp), [0.0], label_values
+            )
+        assert labelled == []
+
     def test_end_to_end_from_cosmo_state(self):
         state = mixed_degenerate_state()
         pointer = diagonalize_remaining(state)

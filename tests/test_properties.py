@@ -1,30 +1,39 @@
-"""Property tests of the dephasing and grid invariants over random inputs.
+"""Property tests of the dephasing, grid, Fock-basis and pointer-basis
+invariants over random inputs.
 
 Grids are uniform or Clenshaw-Curtis with n <= 64; kernels are random
 complex and non-Hermitian (``self_adjoint=False``), so no symmetry of the
 inputs hides an error in the contraction.
 """
+from itertools import product
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vanhove import (
+    ModeSet,
     Observable,
     RegularKernel,
+    ShellState,
     SingularKernel,
     StateFunctional,
     decay_profile,
+    enumerate_fock,
     evolve,
     hamiltonian_observable,
     identity_observable,
     make_grid,
     pair,
+    pointer_state,
     recurrence_time,
+    sqrt_prime_modes,
     weak_limit,
 )
 from vanhove.evolution import _TIME_BLOCK
 from vanhove.kernels import grid_size_for_spacing
 from vanhove.oracles import dense_pair_oracle
+from vanhove.pointer import TIE_TOL
 
 TOL = 1e-12
 
@@ -105,3 +114,88 @@ def test_grid_size_for_spacing_is_the_smallest_fine_enough(scheme, omega_max, ra
     assert make_grid(omega_max, n, scheme).min_spacing <= spacing + slack
     if n > 2:
         assert make_grid(omega_max, n - 1, scheme).min_spacing > spacing - slack
+
+
+@st.composite
+def fock_boxes(draw):
+    """A mode set, an occupancy cap and an energy cut, the cut drawn as
+    None, 0, a random value or exactly one of the box's energies."""
+    modes = draw(st.integers(1, 5))
+    n_max = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        # integer moduli and m = 0: many vectors share one energy
+        mode_set = ModeSet(np.arange(1.0, modes + 1.0), m=0.0, a_out=draw(st.floats(1.0, 30.0)))
+    else:
+        k = sqrt_prime_modes(modes, draw(st.floats(0.1, 3.0)))
+        mode_set = ModeSet(k, m=draw(st.floats(0.01, 2.0)), a_out=draw(st.floats(1.0, 30.0)))
+    freqs = mode_set.frequencies()
+    top = float(n_max * freqs.sum())
+    cut = draw(st.one_of(
+        st.none(),
+        st.just(0.0),
+        st.floats(0.0, 1.1 * top),
+        st.sampled_from(list(product(range(n_max + 1), repeat=modes))).map(
+            lambda occ: float(np.dot(occ, freqs))
+        ),
+    ))
+    return mode_set, n_max, cut
+
+
+def rounding_gap_box():
+    """A box whose cut equals the np.dot energy of (0, 0, 1, 3), which a
+    running left-to-right sum overshoots by one ulp (with OpenBLAS ddot)."""
+    mode_set = ModeSet(
+        sqrt_prime_modes(4, 0.10794165049342948), m=1.716234510409263,
+        a_out=1.9739816838584663,
+    )
+    return mode_set, 3, float(np.dot((0, 0, 1, 3), mode_set.frequencies()))
+
+
+@settings(max_examples=200)
+@given(box=fock_boxes())
+@example(box=rounding_gap_box())
+def test_pruned_fock_enumeration_equals_brute_force(box):
+    mode_set, n_max, cut = box
+    freqs = mode_set.frequencies()
+    limit = np.inf if cut is None else cut
+    every = [(float(np.dot(occ, freqs)), occ)
+             for occ in product(range(n_max + 1), repeat=freqs.size)]
+    kept = sorted(item for item in every if item[0] <= limit)
+    basis = enumerate_fock(mode_set, n_max, cut)
+    assert basis.occupations == tuple(occ for _, occ in kept)
+    assert np.array_equal(basis.energies, np.array([e for e, _ in kept]))
+    assert basis.truncated_count == len(every) - len(kept)
+
+
+@st.composite
+def psd_shells(draw):
+    """Random PSD Hermitian shell blocks of size 1-8 with distinct energies;
+    eigenvalues are drawn from a few values, so some repeat."""
+    count = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shells = []
+    for omega in range(count):
+        n = draw(st.integers(1, 8))
+        levels = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3))
+        spectrum = rng.choice(levels, size=n)
+        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        u, _ = np.linalg.qr(raw)
+        block = (u * spectrum) @ u.conj().T
+        shells.append(ShellState(float(omega), tuple(range(n)), 0.5 * (block + block.conj().T)))
+    return shells
+
+
+@given(shells=psd_shells())
+def test_pointer_basis_reconstructs_and_is_unitary(shells):
+    for shell, basis in zip(shells, pointer_state(shells)):
+        scale = max(float(np.max(np.abs(shell.block))), np.finfo(float).tiny)
+        assert np.max(np.abs(basis.reconstruct() - shell.block)) <= TOL * scale
+        assert basis.unitarity_defect() <= TOL
+        # numerically equal eigenvalues are ordered by label, not by value
+        tie = TIE_TOL * max(1.0, float(np.max(np.abs(basis.eigenvalues))))
+        assert np.all(np.diff(basis.eigenvalues) <= tie)
+        for column in basis.unitary.T:
+            # the phased component is the largest one; near-equal magnitudes
+            # may swap order by an ulp when the column is rotated
+            peak = float(np.max(np.abs(column)))
+            assert np.any((column.imag == 0.0) & (column.real >= (1.0 - TOL) * peak))
