@@ -9,9 +9,10 @@ A descriptor is a plain dict with a "type" key.  Supported families:
     {"type": "table", "path": "kernel.csv"}
 
 Singular kernels are f(w); regular kernels use the separable Hermitian
-form f(w) f(w') of the same profile (for gaussian that is
-amplitude * exp(-((w-mu)^2 + (w'-mu)^2) / (2 sigma^2))).  "point" puts
-unit quadrature mass on the nearest grid point.  CSV tables must sample
+form f(w) f(w') / amplitude of the same profile (for gaussian that is
+amplitude * exp(-((w-mu)^2 + (w'-mu)^2) / (2 sigma^2))), held as rank-1
+factors.  "point" puts unit quadrature mass on the nearest grid point
+(rank 1 again); only tables are dense n x n.  CSV tables must sample
 every grid point: header ``omega,re,im`` for singular kernels and
 ``omega,omega_prime,re,im`` for regular ones.
 """
@@ -55,11 +56,14 @@ def _profile(points: np.ndarray, desc: dict) -> np.ndarray:
     raise ValueError(f"unsupported kernel descriptor type {kind!r}")
 
 
+def _nearest_index(grid: EnergyGrid, desc: dict) -> int:
+    return int(np.argmin(np.abs(grid.points - float(desc["omega"]))))
+
+
 def singular_from_descriptor(grid: EnergyGrid, desc: dict) -> SingularKernel:
     kind = desc.get("type")
     if kind == "point":
-        omega = float(desc["omega"])
-        k = int(np.argmin(np.abs(grid.points - omega)))
+        k = _nearest_index(grid, desc)
         values = np.zeros(grid.size, dtype=complex)
         values[k] = 1.0 / grid.weights[k]
         return SingularKernel(grid, values)
@@ -71,21 +75,19 @@ def singular_from_descriptor(grid: EnergyGrid, desc: dict) -> SingularKernel:
 def regular_from_descriptor(grid: EnergyGrid, desc: dict) -> RegularKernel:
     kind = desc.get("type")
     if kind == "point":
-        omega = float(desc["omega"])
-        k = int(np.argmin(np.abs(grid.points - omega)))
-        values = np.zeros((grid.size, grid.size), dtype=complex)
-        values[k, k] = 1.0 / grid.weights[k] ** 2
-        return RegularKernel(grid, values)
+        k = _nearest_index(grid, desc)
+        left, right = np.zeros((grid.size, 1)), np.zeros((grid.size, 1))
+        left[k, 0] = 1.0 / grid.weights[k] ** 2
+        right[k, 0] = 1.0
+        return RegularKernel(grid, left, right)
     if kind == "table":
         return _regular_from_csv(grid, Path(desc["path"]))
-    profile = _profile(grid.points, desc)
+    profile = _profile(grid.points, desc)[:, None]
     amp = float(desc.get("amplitude", 1.0))
-    # separable product f(w) f(w'); keep a single amplitude factor overall
-    if amp != 0.0:
-        outer = np.outer(profile, profile) / amp
-    else:
-        outer = np.zeros((grid.size, grid.size))
-    return RegularKernel(grid, outer)
+    if amp == 0.0:
+        return zero_regular(grid)
+    # separable product f(w) f(w') with a single amplitude factor overall
+    return RegularKernel(grid, profile, profile / amp)
 
 
 def state_from_descriptors(

@@ -7,42 +7,46 @@ purely singular weak-limit state.  On a finite grid the decay is only
 valid below the recurrence time 2*pi / min spacing; callers should window
 their assertions accordingly.
 
-A decay profile over T time samples on an n-point grid costs O(n^2 T)
-flops, done as matrix-matrix products over blocks of the time axis; it
-holds one n x n contraction plus O(block * n) phase workspace.
+Evolution only adds t to the regular kernel's elapsed time; its factors
+are kept.  A decay profile over T time samples on an n-point grid costs
+O(n T rank_rho rank_O) for descriptor-built (low-rank) kernels and
+O(n^2 T) when either kernel is a dense table, done as matrix products over
+blocks of the time axis with O(block * n) phase workspace.  The state and
+self-adjointness checks around it (hermiticity) cost O(n^2 rank) time in
+O(n * block) memory, and so limit n for self-adjoint observables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._csv import write_csv
 from .errors import GridMismatchError
-from .kernels import RegularKernel, Observable, StateFunctional, pair, zero_regular
+from .kernels import BLOCK_ELEMENTS, Observable, StateFunctional, pair, zero_regular
 
 IMAG_TOL = 1e-10
-# Time samples per matrix-matrix product in decay_profile: large enough
-# for BLAS efficiency, small enough that the phase block stays O(n).
+# Time samples per matrix product in decay_profile: large enough for BLAS
+# efficiency; above n = 4096 fewer, so the phase block stays O(n).
 _TIME_BLOCK = 256
+# Envelope fits drop samples below this fraction of the largest one, and
+# below NOISE_MARGIN times the profile's rounding-error bound.
+ENVELOPE_FLOOR_REL = 1e-12
+NOISE_MARGIN = 10.0
 
 
 def evolve(state: StateFunctional, t: float) -> StateFunctional:
     """Advance the state by time t (hbar = 1).
 
-    The singular part is returned bit-for-bit unchanged; the regular part
-    is multiplied entrywise by exp(-i (w_i - w_j) t).  Phases are computed
-    directly from the energy differences at each call, so there is no
-    accumulated drift for long times.
+    The singular part is returned bit-for-bit unchanged; the regular part,
+    whose entries pick up exp(-i (w_i - w_j) t), keeps its factors and adds
+    t to its elapsed time.  Phases are formed from the total time wherever
+    entries are, so there is no accumulated drift for long times.
     """
     if not np.isfinite(t):
         raise ValueError(f"evolution time must be finite, got {t}")
-    points = state.grid.points
-    phase = np.exp(-1j * t * np.subtract.outer(points, points))
-    return StateFunctional(
-        state.singular,
-        RegularKernel(state.grid, state.regular.values * phase),
-    )
+    reg = state.regular
+    return StateFunctional(state.singular, replace(reg, elapsed=reg.elapsed + t))
 
 
 def weak_limit(state: StateFunctional) -> StateFunctional:
@@ -72,18 +76,29 @@ def expectation(state: StateFunctional, obs: Observable, t: float) -> float:
 @dataclass(frozen=True)
 class DecayProfile:
     """Split of the evolving mean value into its constant diagonal term and
-    the magnitude of the oscillatory off-diagonal term, per time sample."""
+    the magnitude of the oscillatory off-diagonal term, per time sample.
+
+    ``noise_floor`` bounds the rounding error of each ``offdiag_abs``
+    sample a priori (0 when unknown).
+    """
 
     times: np.ndarray
     offdiag_abs: np.ndarray
     diag_value: float
     expectations: np.ndarray
+    noise_floor: float = 0.0
 
     def __post_init__(self):
         for name in ("times", "offdiag_abs", "expectations"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def envelope_mask(self, floor_rel: float = ENVELOPE_FLOOR_REL) -> np.ndarray:
+        """Samples above floor_rel * max and above NOISE_MARGIN * noise_floor:
+        the ones an envelope fit may use."""
+        off = self.offdiag_abs
+        return off > max(floor_rel * off.max(), NOISE_MARGIN * self.noise_floor)
 
     def to_csv(self, path) -> None:
         """Write columns t, offdiag_abs, expectation (17 significant digits)."""
@@ -97,17 +112,22 @@ def decay_profile(
     """Off-diagonal decay of <O>(t) over the given time samples.
 
     Evaluates the same quantity as pair(evolve(state, t), obs) for every t,
-    on any grid, with the time-independent contraction
-    C_ij = w_i w_j rho_ij O_ji factored out:
+    on any grid.  The time-independent contraction
+    C_ij = w_i w_j rho_ij O_ji (phases left out) is factored as
+    C = P Q^T (``RegularKernel.trace_factors``), so that
 
-        offdiag(t) = v(t)^T C conj(v(t)),   v_i(t) = e^{-i w_i t}.
+        offdiag(t) = sum_k (v(t)^T P)_k (conj(v(t))^T Q)_k,
+        v_i(t) = e^{-i w_i (t + tau)},
 
-    The diagonal term sum_i w_i rho_i O_i does not depend on t.  Times are
-    taken in blocks: the phases V = exp(-i t omega^T) of a block come
-    directly from the times (no recurrence, so no drift), and the block's
-    samples are the row sums of (V C) * conj(V), one matrix product per
-    block.  Cost O(n^2 T) flops; memory one n x n contraction plus
-    O(block * n).
+    where tau is the state's elapsed time less the observable's.  For a
+    dense C, Q is the identity and this is v^T C conj(v).  The diagonal
+    term sum_i w_i rho_i O_i does not depend on t.  Times are taken in
+    blocks: the phases V = exp(-i t omega^T) of a block come directly from
+    the times (no recurrence, so no drift), and the block's samples are the
+    row sums of (V P) * (conj(V) Q).  Cost O(n T k) flops for k columns of
+    P (rank_rho * rank_O, or n when dense); memory O(n k + block * n).
+    The profile's ``noise_floor`` is n eps sum_k |P_k|_1 |Q_k|_1, a bound
+    on each sample's rounding error.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -126,22 +146,33 @@ def decay_profile(
         )
     diag = diag_c.real
 
-    contraction = state.regular.values * obs.regular.values.T
-    contraction *= w[:, None]
-    contraction *= w[None, :]
+    p, q = state.regular.trace_factors(obs.regular)
+    p *= w[:, None]
+    if q is None:
+        p *= w[None, :]
+        l1 = np.abs(p).sum()
+    else:
+        q *= w[:, None]
+        l1 = np.abs(p).sum(axis=0) @ np.abs(q).sum(axis=0)
+    noise_floor = grid.size * np.finfo(float).eps * float(l1)
+
+    shifted = times + (state.regular.elapsed - obs.regular.elapsed)
+    step = min(_TIME_BLOCK, max(1, BLOCK_ELEMENTS // grid.size))
     offdiag = np.empty(times.size, dtype=complex)
-    for start in range(0, times.size, _TIME_BLOCK):
-        block = times[start : start + _TIME_BLOCK]
+    for start in range(0, times.size, step):
+        block = shifted[start : start + step]
         phases = np.exp(-1j * np.outer(block, grid.points))
-        weighted = phases @ contraction
+        weighted = phases @ p
         np.conjugate(phases, out=phases)
-        offdiag[start : start + block.size] = np.einsum("ti,ti->t", weighted, phases)
+        right = phases if q is None else phases @ q
+        offdiag[start : start + block.size] = np.einsum("tk,tk->t", weighted, right)
 
     return DecayProfile(
         times=times,
         offdiag_abs=np.abs(offdiag),
         diag_value=diag,
         expectations=diag + offdiag.real,
+        noise_floor=noise_floor,
     )
 
 
@@ -172,15 +203,16 @@ def recurrence_time(grid) -> float:
 
 
 def fit_gaussian_envelope(
-    profile: DecayProfile, floor_rel: float = 1e-12
+    profile: DecayProfile, floor_rel: float = ENVELOPE_FLOOR_REL
 ) -> tuple[float, float]:
     """Least-squares fit of log offdiag_abs = intercept - rate * t^2.
 
-    Samples below floor_rel * max are excluded (dominated by roundoff).
-    Returns (rate, intercept).
+    Only the samples of ``profile.envelope_mask(floor_rel)`` are used:
+    those below floor_rel * max or within NOISE_MARGIN of the rounding-error
+    bound are dominated by roundoff.  Returns (rate, intercept).
     """
     off = profile.offdiag_abs
-    mask = off > floor_rel * off.max()
+    mask = profile.envelope_mask(floor_rel)
     if mask.sum() < 3:
         raise ValueError("not enough samples above the noise floor to fit")
     t2 = profile.times[mask] ** 2

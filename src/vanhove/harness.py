@@ -250,6 +250,8 @@ def _run_evolve(config, run: _Run, threads: int, seed) -> None:
             "offdiag_final": float(profile.offdiag_abs[-1]),
             "recurrence_time": float(recurrence_time(grid)),
             "state_validation": validate_state(state).as_dict(),
+            "noise_floor": profile.noise_floor,
+            "envelope_samples": int(np.count_nonzero(profile.envelope_mask())),
         }
         if "threshold" in config:
             t_d = decoherence_time(profile, config["threshold"])

@@ -8,10 +8,13 @@ kernels: a singular (diagonal, one energy variable) part and a regular
     (rho|O) = sum_i w_i rho(w_i) O(w_i)
             + sum_ij w_i w_j rho(w_i, w_j) O(w_j, w_i)
 
-which is the discrete mean value of O in the state rho.  All values are
-immutable after construction; physicality (positivity, normalization,
-hermiticity) is never enforced at construction so that non-physical test
-kernels remain representable.  Use :func:`validate_state` to check it.
+which is the discrete mean value of O in the state rho.  Regular kernels
+are held as low-rank factors (see :class:`RegularKernel`), so the regular
+trace costs O(n rank_rho rank_O) and a descriptor-built kernel never
+forms an n x n array.  All values are immutable after construction;
+physicality (positivity, normalization, hermiticity) is never enforced at
+construction so that non-physical test kernels remain representable.
+Use :func:`validate_state` to check it.
 """
 from __future__ import annotations
 
@@ -28,6 +31,9 @@ POSITIVITY_FLOOR = -1e-12
 # Kernel amplitude at the spectrum cutoff above which truncation at
 # omega_max is considered unsafe for the experiment.
 CUTOFF_MASS_TOL = 1e-10
+# Entries per row or phase block of work over the grid (16 MB complex), so
+# that workspace stays O(n) in n: 256 rows while n <= 4096.
+BLOCK_ELEMENTS = 256 * 4096
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -171,26 +177,107 @@ class SingularKernel:
 
 @dataclass(frozen=True)
 class RegularKernel:
-    """Smooth two-energy kernel f(w_i, w_j) sampled on grid x grid."""
+    """Smooth two-energy kernel f(w_i, w_j) on grid x grid, held as factors
+
+        f_ij = exp(-i (w_i - w_j) elapsed) * sum_a left[i, a] right[j, a].
+
+    ``right=None`` stands for the identity: ``left`` is then the dense
+    n x n matrix (tables, random test kernels).  Descriptor profiles give
+    rank-1 factors and the zero kernel has rank 0, so neither holds an
+    n x n array.  ``elapsed`` is the time the kernel has evolved for.  Its
+    phase is applied only where entries are formed (``values``), never
+    folded into the factors: that would round the diagonal, which
+    evolution leaves exactly unchanged.
+    """
 
     grid: EnergyGrid
-    values: np.ndarray
+    left: np.ndarray
+    right: np.ndarray | None = None
+    elapsed: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values, complex))
+        object.__setattr__(self, "left", _frozen(self.left, complex))
         n = self.grid.size
-        if self.values.shape != (n, n):
-            raise ValueError(
-                f"regular kernel has shape {self.values.shape}, expected {(n, n)}"
-            )
-        if not np.all(np.isfinite(self.values)):
+        if self.right is None:
+            if self.left.shape != (n, n):
+                raise ValueError(
+                    f"regular kernel has shape {self.left.shape}, expected {(n, n)}"
+                )
+        else:
+            object.__setattr__(self, "right", _frozen(self.right, complex))
+            if self.left.ndim != 2 or self.left.shape[0] != n or self.right.shape != self.left.shape:
+                raise ValueError(
+                    f"regular kernel factors have shapes {self.left.shape} and "
+                    f"{self.right.shape}, expected ({n}, rank) each"
+                )
+            if not np.all(np.isfinite(self.right)):
+                raise ValueError("regular kernel contains non-finite entries")
+        if not np.all(np.isfinite(self.left)):
             raise ValueError("regular kernel contains non-finite entries")
+        if not np.isfinite(self.elapsed):
+            raise ValueError(f"evolution time must be finite, got {self.elapsed}")
+
+    @property
+    def rank(self) -> int:
+        """Number of factor columns; n for a dense kernel."""
+        return self.left.shape[1]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The n x n entries f_ij, formed on each call (read-only)."""
+        out = self._rows(slice(None))
+        if self.elapsed:
+            p = self.grid.points
+            out = out * np.exp(-1j * self.elapsed * np.subtract.outer(p, p))
+        out.setflags(write=False)
+        return out
+
+    def _rows(self, rows: slice) -> np.ndarray:
+        """Entries f_ij without the phase, for i in ``rows``."""
+        if self.right is None:
+            return self.left[rows]
+        return self.left[rows] @ self.right.T
+
+    def _columns(self, cols: slice) -> np.ndarray:
+        """Entries f_ij without the phase, for j in ``cols``, as [j, i]."""
+        if self.right is None:
+            return self.left[:, cols].T
+        return self.right[cols] @ self.left.T
 
     def hermiticity_defect(self) -> float:
-        # |conj(f_ij) - f_ji| = |f_ij - conj(f_ji)|, with one complex n x n temporary
-        diff = self.values.conj()
-        diff -= self.values.T
-        return float(np.max(np.abs(diff)))
+        """max_ij |f_ij - conj(f_ji)|, which evolution leaves unchanged.
+
+        Taken over row blocks: O(n^2 rank) time and O(n * block) memory.
+        """
+        if self.right is None:
+            def block(rows):
+                return self._rows(rows) - self._columns(rows).conj()
+        else:
+            # f - f^dagger = [U, conj(V)] [V, -conj(U)]^T: one product per block
+            u = np.concatenate([self.left, self.right.conj()], axis=1)
+            v = np.concatenate([self.right, -self.left.conj()], axis=1).T
+
+            def block(rows):
+                return u[rows] @ v
+        n = self.grid.size
+        step = max(1, BLOCK_ELEMENTS // n)
+        return max(float(np.abs(block(slice(s, s + step))).max()) for s in range(0, n, step))
+
+    def trace_factors(self, other: RegularKernel) -> tuple[np.ndarray, np.ndarray | None]:
+        """Fresh factors of g_ij = f_ij h_ji (phases left out), with h = ``other``.
+
+        For factored kernels f = U V^T and h = X Y^T, g = P Q^T with the
+        column-wise Khatri-Rao products P = U (.) Y and Q = V (.) X, of
+        rank(f) * rank(h) columns.  When either kernel is dense, or that
+        rank reaches n, the dense g is returned as P with Q = None, the
+        identity.
+        """
+        n = self.grid.size
+        if self.right is None or other.right is None or self.rank * other.rank >= n:
+            return self._rows(slice(None)) * other._columns(slice(None)), None
+        p = self.left[:, :, None] * other.right[:, None, :]
+        q = self.right[:, :, None] * other.left[:, None, :]
+        return p.reshape(n, -1), q.reshape(n, -1)
 
 
 def zero_singular(grid: EnergyGrid) -> SingularKernel:
@@ -198,7 +285,9 @@ def zero_singular(grid: EnergyGrid) -> SingularKernel:
 
 
 def zero_regular(grid: EnergyGrid) -> RegularKernel:
-    return RegularKernel(grid, np.zeros((grid.size, grid.size), dtype=complex))
+    """The rank-0 regular kernel."""
+    empty = np.zeros((grid.size, 0), dtype=complex)
+    return RegularKernel(grid, empty, empty)
 
 
 @dataclass(frozen=True)
@@ -284,7 +373,13 @@ def pair(state: StateFunctional, obs: Observable) -> complex:
         raise GridMismatchError("state and observable live on different grids")
     w = state.grid.weights
     diag = np.sum(w * state.singular.values * obs.singular.values)
-    cross = w @ (state.regular.values * obs.regular.values.T) @ w
+    # sum_ij w_i w_j rho_ij O_ji = (w phase)^T P Q^T (w conj(phase)), where
+    # phase_i = exp(-i w_i tau) carries the net evolution time tau
+    p, q = state.regular.trace_factors(obs.regular)
+    tau = state.regular.elapsed - obs.regular.elapsed
+    phase = np.exp(-1j * tau * state.grid.points) if tau else 1.0
+    right = w * np.conj(phase)
+    cross = ((w * phase) @ p) @ (right if q is None else right @ q)
     return complex(diag + cross)
 
 
@@ -332,7 +427,9 @@ def validate_state(state: StateFunctional) -> ValidationReport:
     """Check the state invariants; diagnostic only, never raises.
 
     Checks: rho(w) real, rho(w) >= 0 (within -1e-12), (rho|I) = 1 within
-    1e-10, and hermiticity of the regular kernel within 1e-12.
+    1e-10, and hermiticity of the regular kernel within 1e-12.  The
+    hermiticity scan costs O(n^2 rank) time in O(n * block) memory; the
+    cutoff amplitude reads only the last row and column.
     """
     out: list[Violation] = []
     w = state.grid.weights
@@ -354,10 +451,10 @@ def validate_state(state: StateFunctional) -> ValidationReport:
     if defect > HERMITICITY_TOL:
         out.append(Violation("hermiticity", defect, HERMITICITY_TOL))
 
-    r = state.regular.values
+    last = slice(state.grid.size - 1, None)
     cutoff = max(
         float(np.abs(rho_s[-1])),
-        float(np.max(np.abs(r[-1, :]))),
-        float(np.max(np.abs(r[:, -1]))),
+        float(np.max(np.abs(state.regular._rows(last)))),
+        float(np.max(np.abs(state.regular._columns(last)))),
     )
     return ValidationReport(tuple(out), cutoff)

@@ -196,14 +196,21 @@ class _HBins:
         return float(self.means(values).sum() * self.width)
 
 
+def _mollifier(field: PhaseField, level: float, epsilon: float) -> np.ndarray:
+    """exp(-(L - l)^2 / 2 eps^2), formed in place in one phase-grid array:
+    per-cell temporaries of every step would churn the allocator."""
+    out = field.values - level
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    out /= 2.0 * epsilon**2
+    return np.exp(out, out=out)
+
+
 def _mollified_constraints(levels, fields, bins: _HBins) -> tuple[np.ndarray, float]:
     """Product of Gaussian mollifiers prod_i exp(-(L_i - l_i)^2 / 2 eps^2)
     and its mass under ``bins``, the H binning of the first field at width
     eps.  Unchecked: callers validate domain, width and degeneracy."""
-    factors = (
-        np.exp(-((f.values - level) ** 2) / (2.0 * bins.epsilon**2))
-        for level, f in zip(levels, fields)
-    )
+    factors = (_mollifier(f, level, bins.epsilon) for level, f in zip(levels, fields))
     raw = next(factors)
     for factor in factors:
         raw *= factor
@@ -298,7 +305,8 @@ def classical_state_density(
         if coeff == 0.0 or not (lo_h <= omegas[i] <= hi_h):
             continue
         raw, mass = _mollified_constraints([omegas[i]], [hfield], bins)
-        out += (coeff / mass) * raw
+        raw *= coeff / mass
+        out += raw
         del raw  # one shell alive at a time: the next one's Gaussian needs room
     return ClassicalDensity(PhaseField(hfield.grid, out), policy.epsilon, hfield)
 

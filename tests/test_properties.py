@@ -21,13 +21,16 @@ from vanhove import (
     decay_profile,
     enumerate_fock,
     evolve,
+    fit_gaussian_envelope,
     hamiltonian_observable,
     identity_observable,
     make_grid,
+    observable_from_descriptors,
     pair,
     pointer_state,
     recurrence_time,
     sqrt_prime_modes,
+    state_from_descriptors,
     weak_limit,
 )
 from vanhove.evolution import _TIME_BLOCK
@@ -72,6 +75,36 @@ def test_decay_profile_matches_evolve_then_pair(count, problem, reach):
     ref = np.array([pair(evolve(state, t), obs) for t in times])
     assert np.max(np.abs(prof.expectations - ref.real)) <= TOL
     assert np.max(np.abs(prof.offdiag_abs - np.abs(ref - diag))) <= TOL
+
+
+@given(
+    sigmas=st.tuples(st.floats(0.3, 0.8), st.floats(0.3, 0.8)),
+    centres=st.tuples(st.floats(4.5, 5.5), st.floats(4.5, 5.5)),
+)
+def test_gaussian_decay_matches_closed_form_rate(sigmas, centres):
+    # Riemann-Lebesgue, quantitatively: separable gaussian kernels of widths
+    # s1 (state) and s2 (observable) dephase as exp(-s^2 t^2), where
+    # s^2 = s1^2 s2^2 / (s1^2 + s2^2) is the variance of their product
+    (s1, s2), (m1, m2) = sigmas, centres
+    rate = s1**2 * s2**2 / (s1**2 + s2**2)
+    t_max = 5.0 / np.sqrt(rate)  # offdiag falls to exp(-25) of its start
+    # a quarter of the recurrence time: the grid's alias of the decay,
+    # exp(-rate (t_rec - t)^2), stays far below every fitted sample
+    n = grid_size_for_spacing(10.0, 2.0 * np.pi / (4.0 * t_max))
+    grid = make_grid(10.0, n)
+    times = np.linspace(0.0, t_max, 101)
+    assert times[-1] <= 0.8 * recurrence_time(grid)
+
+    def gauss(mu, sigma):
+        return {"type": "gaussian", "mu": mu, "sigma": sigma}
+
+    state = state_from_descriptors(grid, gauss(m1, s1), gauss(m1, s1))
+    obs = observable_from_descriptors(grid, gauss(m2, s2), gauss(m2, s2))
+    prof = decay_profile(state, obs, times)
+    fitted, _ = fit_gaussian_envelope(prof)
+    assert abs(fitted - rate) <= 0.01 * rate
+    ratio = prof.offdiag_abs / prof.offdiag_abs[0]
+    assert np.all(np.abs(ratio - np.exp(-rate * times**2)) <= 0.01 * np.exp(-rate * times**2))
 
 
 @given(problem=problems())
