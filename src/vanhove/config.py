@@ -159,6 +159,8 @@ COSMO_STATE = {
         "im": {"type": "array"},
     },
     "required": ["type"],
+    "if": {"properties": {"type": {"const": "explicit"}}},
+    "then": {"required": ["re"]},
     "additionalProperties": False,
 }
 
@@ -278,6 +280,8 @@ KIND_SCHEMAS = {
             "t_max": _POS,
         },
         "required": ["kind", "target"],
+        "if": {"properties": {"target": {"const": "cosmo-expectation"}}},
+        "then": {"required": ["modes"]},
         "additionalProperties": False,
     },
 }

@@ -292,7 +292,6 @@ class FockBasis:
     mode_set: ModeSet
     occupations: tuple
     energies: np.ndarray
-    labels: tuple
     truncated_count: int = 0
 
     def __post_init__(self):
@@ -300,9 +299,8 @@ class FockBasis:
         e.setflags(write=False)
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "occupations", tuple(map(tuple, self.occupations)))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if not (len(self.occupations) == e.size == len(self.labels)):
-            raise ValueError("occupations, energies and labels must align")
+        if len(self.occupations) != e.size:
+            raise ValueError("occupations and energies must align")
 
     @property
     def size(self) -> int:
@@ -312,17 +310,13 @@ class FockBasis:
         freqs = self.mode_set.frequencies()
         return np.array([np.dot(occ, freqs) for occ in self.occupations])
 
-    def shells(self, eps_shell: float = DEFAULT_EPS_SHELL) -> list[tuple[float, np.ndarray]]:
-        """Group indices whose energies agree within eps_shell (gap-based
-        binning of the sorted spectrum); returns (shell energy, indices)."""
+    def shells(self, eps_shell: float = DEFAULT_EPS_SHELL) -> list[tuple[float, slice]]:
+        """Cut the sorted spectrum wherever neighbouring energies differ by
+        more than eps_shell; returns (shell energy, index slice) pairs whose
+        slices tile range(size) in order."""
         e = self.energies
-        groups: list[tuple[float, np.ndarray]] = []
-        start = 0
-        for i in range(1, e.size + 1):
-            if i == e.size or e[i] - e[i - 1] > eps_shell:
-                groups.append((float(e[start]), np.arange(start, i)))
-                start = i
-        return groups
+        cuts = [0, *(np.flatnonzero(np.diff(e) > eps_shell) + 1).tolist(), e.size]
+        return [(float(e[a]), slice(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def enumerate_fock(
@@ -371,7 +365,6 @@ def enumerate_fock(
         mode_set=mode_set,
         occupations=occupations,
         energies=energies,
-        labels=occupations,
         truncated_count=(n_max + 1) ** freqs.size - len(kept),
     )
 
@@ -414,15 +407,14 @@ class CosmoState:
         """Per-index energy using each shell's representative value, so that
         intra-shell phase differences vanish identically."""
         e = np.empty(self.basis.size)
-        for energy, idx in self._shells:
-            e[idx] = energy
+        for energy, s in self._shells:
+            e[s] = energy
         return e
 
     def cross_block_magnitude(self) -> float:
-        mask = np.zeros(self.matrix.shape, dtype=bool)
-        for _, idx in self._shells:
-            mask[np.ix_(idx, idx)] = True
-        off = np.where(mask, 0.0, np.abs(self.matrix))
+        off = np.abs(self.matrix)
+        for _, s in self._shells:
+            off[s, s] = 0.0
         return float(off.max())
 
     def min_eigenvalue(self) -> float:
@@ -475,9 +467,8 @@ def cosmo_weak_limit(state: CosmoState) -> CosmoState:
     """Drop every cross-shell block; shell blocks and the trace are kept
     exactly.  Idempotent."""
     out = np.zeros_like(state.matrix)
-    for _, idx in state.shells:
-        block = np.ix_(idx, idx)
-        out[block] = state.matrix[block]
+    for _, s in state.shells:
+        out[s, s] = state.matrix[s, s]
     return CosmoState(state.basis, out, state.eps_shell)
 
 
@@ -496,12 +487,8 @@ def diagonalize_remaining(state: CosmoState) -> list[PointerBasis]:
             f"cross-shell blocks of magnitude {cross:.3e} remain"
         )
     shells = [
-        ShellState(
-            omega=energy,
-            labels=tuple(state.basis.labels[i] for i in idx),
-            block=state.matrix[np.ix_(idx, idx)],
-        )
-        for energy, idx in state.shells
+        ShellState(energy, state.basis.occupations[s], state.matrix[s, s])
+        for energy, s in state.shells
     ]
     return pointer_state(shells)
 
@@ -558,9 +545,9 @@ def trajectory_ensemble(
     Components whose constraints have empty support are flagged degenerate
     and excluded from the summed density (their probability is kept).
 
-    ``label_values(shell_index, eigen_index, basis) -> sequence`` supplies
-    the numeric invariants per component; by default a single invariant
-    field takes l = (shell energy,).
+    ``label_values`` maps each (shell index, eigen index) to the numeric
+    invariants of that component; by default a single invariant field
+    takes l = (shell energy,).
     """
     if not invariant_fields:
         raise ValueError("need at least one invariant field")
@@ -572,16 +559,20 @@ def trajectory_ensemble(
     if not a0_points:
         raise ValueError("need at least one reference coordinate")
 
+    components = [(si, ei) for si, pb in enumerate(pointer) for ei in range(pb.size)]
     if label_values is None:
         if len(invariant_fields) != 1:
             raise ValueError(
                 "label_values must be supplied when there is more than one "
                 "invariant field"
             )
-        label_values = lambda _si, _ei, basis: (basis.omega,)
-    elif not callable(label_values):
-        mapping = dict(label_values)
-        label_values = lambda si, ei, _basis: mapping[(si, ei)]
+        label_values = {(si, ei): (pointer[si].omega,) for si, ei in components}
+    missing = [key for key in components if key not in label_values]
+    if missing:
+        raise ValueError(
+            f"l values missing components {missing}; give one per "
+            "(shell index, pointer label)"
+        )
 
     total = sum(float(pb.eigenvalues.sum()) for pb in pointer)
     if abs(total - 1.0) > 1e-8:
@@ -598,17 +589,15 @@ def trajectory_ensemble(
     uniform = 1.0 / len(a0_points)
 
     jobs = []
-    for si, pb in enumerate(pointer):
-        for ei, eig in enumerate(pb.eigenvalues):
-            lv = tuple(float(x) for x in label_values(si, ei, pb))
-            if len(lv) != len(invariant_fields):
-                raise ValueError(
-                    f"component ({si}, {ei}) got {len(lv)} l values for "
-                    f"{len(invariant_fields)} invariant fields"
-                )
-            prob = max(float(eig), 0.0) * uniform
-            for a0 in a0_points:
-                jobs.append((lv, a0, prob))
+    for si, ei in components:
+        lv = tuple(float(x) for x in label_values[(si, ei)])
+        if len(lv) != len(invariant_fields):
+            raise ValueError(
+                f"component ({si}, {ei}) got {len(lv)} l values for "
+                f"{len(invariant_fields)} invariant fields"
+            )
+        prob = max(float(pointer[si].eigenvalues[ei]), 0.0) * uniform
+        jobs.extend((lv, a0, prob) for a0 in a0_points)
 
     def build(job):
         lv, a0, prob = job

@@ -40,7 +40,6 @@ from .kernels import (
     validate_state,
 )
 from .oracles import ORACLE_SIZE_LIMIT, conjugation_expectation_oracle, dense_pair_oracle
-from .pointer import PointerBasis
 from .wigner import (
     MollifierPolicy,
     PhaseGrid,
@@ -370,12 +369,11 @@ def _mode_set_from(cfg: dict) -> cosmo.ModeSet:
     return cosmo.ModeSet(k, cfg["m"], cfg["a_out"])
 
 
-def _cosmo_state_from(cfg: dict, basis, eps_shell: float, seed) -> cosmo.CosmoState:
+def _cosmo_state_from(cfg: dict, basis, eps_shell: float, rng) -> cosmo.CosmoState:
     kind = cfg["type"]
     if kind == "uniform":
         return cosmo.uniform_cosmo_state(basis, eps_shell)
     if kind == "random":
-        rng = _rng(_require_seed(seed))
         return cosmo.random_cosmo_state(basis, rng, cfg.get("coherence", 1.0), eps_shell)
     re = np.asarray(cfg["re"], dtype=float)
     im = np.asarray(cfg.get("im", np.zeros_like(re)), dtype=float)
@@ -383,8 +381,23 @@ def _cosmo_state_from(cfg: dict, basis, eps_shell: float, seed) -> cosmo.CosmoSt
 
 
 def _run_cosmo(config, run: _Run, threads: int, seed) -> None:
-    with run.stage("scale-factor"):
+    # the model is checked and built before the first artifact is written,
+    # so a config refused for it leaves the output directory empty
+    with run.stage("inputs"):
         potential = _load_potential(config["potential"])
+        mode_set = _mode_set_from(config["modes"])
+        if mode_set.a_out <= potential.a1:
+            raise ConfigError(
+                f"a_out={mode_set.a_out} must exceed the potential support "
+                f"a1={potential.a1}"
+            )
+        random_state = config["state"]["type"] == "random"
+        rng = _rng(_require_seed(seed)) if random_state else None
+    with run.stage("fock-basis"):
+        basis = cosmo.enumerate_fock(mode_set, config["n_max"], config.get("omega_cut"))
+        eps_shell = config.get("eps_shell", cosmo.DEFAULT_EPS_SHELL)
+        state = _cosmo_state_from(config["state"], basis, eps_shell, rng)
+    with run.stage("scale-factor"):
         solution = cosmo.solve_scale_factor(
             potential,
             config["a0"],
@@ -394,16 +407,6 @@ def _run_cosmo(config, run: _Run, threads: int, seed) -> None:
             config.get("samples", 513),
         )
         run.record("scale_factor.csv", solution.to_csv)
-    with run.stage("fock-basis"):
-        mode_set = _mode_set_from(config["modes"])
-        if mode_set.a_out <= potential.a1:
-            raise ConfigError(
-                f"a_out={mode_set.a_out} must exceed the potential support "
-                f"a1={potential.a1}"
-            )
-        basis = cosmo.enumerate_fock(mode_set, config["n_max"], config.get("omega_cut"))
-        eps_shell = config.get("eps_shell", cosmo.DEFAULT_EPS_SHELL)
-        state = _cosmo_state_from(config["state"], basis, eps_shell, seed)
     with run.stage("equilibrate"):
         equilibrium = cosmo.cosmo_weak_limit(state)
         pointers = cosmo.diagonalize_remaining(equilibrium)
@@ -419,7 +422,13 @@ def _run_cosmo(config, run: _Run, threads: int, seed) -> None:
             pgrid = _phase_grid_from(tcfg["phase_grid"])
             fields = [_PHASE_FUNCTIONS[f["type"]](pgrid) for f in tcfg["invariants"]]
             policy = MollifierPolicy(tcfg["epsilon"])
-            label_values = _label_values_from(tcfg.get("l_values"), pointers)
+            label_values = tcfg.get("l_values")
+            if label_values is not None:
+                label_values = {
+                    (si, ei): vec
+                    for si, shell in enumerate(label_values)
+                    for ei, vec in enumerate(shell)
+                }
             ensemble, density = cosmo.trajectory_ensemble(
                 pointers,
                 fields,
@@ -451,20 +460,6 @@ def _run_cosmo(config, run: _Run, threads: int, seed) -> None:
             summary["density_h_mass"] = float(density.h_mass())
             summary["density_edge_fraction"] = float(density.edge_fraction())
         _write_json(run, "summary.json", summary)
-
-
-def _label_values_from(l_values, pointers: list[PointerBasis]):
-    if l_values is None:
-        return None
-    expected = [(si, ei) for si, pb in enumerate(pointers) for ei in range(pb.size)]
-    mapping = {}
-    for si, shell_vals in enumerate(l_values):
-        for ei, vec in enumerate(shell_vals):
-            mapping[(si, ei)] = tuple(vec)
-    missing = [key for key in expected if key not in mapping]
-    if missing:
-        raise ConfigError(f"trajectory l_values missing components {missing}")
-    return mapping
 
 
 def _run_validate(config, run: _Run, threads: int, seed) -> None:

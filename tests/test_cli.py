@@ -385,10 +385,20 @@ class TestCosmoKind:
     def test_a_out_must_clear_support(self, tmp_path, capsys):
         cfg = self.config()
         cfg["modes"]["a_out"] = 0.5
-        rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)),
-                   "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
         assert rc == 2
         assert "a_out" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_explicit_state_requires_re(self, tmp_path, capsys):
+        cfg = self.config()
+        cfg["state"] = {"type": "explicit"}
+        out = tmp_path / "out"
+        rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert rc == 2
+        assert "field 'state': 're' is a required property" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_l_values_must_cover_components(self, tmp_path, capsys):
         cfg = self.config()
@@ -405,6 +415,7 @@ class TestCosmoKind:
         rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
+        assert list((tmp_path / "out").iterdir()) == []
         rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)),
                    "--out", str(tmp_path / "out"), "--seed", "11"])
         assert rc == 0
@@ -441,6 +452,13 @@ class TestOracleKind:
         rc = main(["oracle", "--config", str(write_config(tmp_path, cfg)),
                    "--out", str(tmp_path / "out")])
         assert rc == 0
+
+    def test_cosmo_oracle_requires_modes(self, tmp_path, capsys):
+        cfg = {"kind": "oracle", "target": "cosmo-expectation", "trials": 2, "seed": 3}
+        rc = main(["oracle", "--config", str(write_config(tmp_path, cfg)),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "'modes' is a required property" in capsys.readouterr().err
 
 
 class TestReproducibility:

@@ -219,11 +219,10 @@ class TestEnumerateFock:
         basis = degenerate_basis()
         shells = basis.shells()
         assert len(shells) == 3
-        energy, idx = shells[1]
+        energy, s = shells[1]
         assert energy == pytest.approx(0.5)
-        assert len(idx) == 2
-        labels = {basis.labels[i] for i in idx}
-        assert labels == {(1, 0), (0, 1)}
+        assert s == slice(1, 3)
+        assert set(basis.occupations[s]) == {(1, 0), (0, 1)}
 
     def test_energy_cut(self):
         basis = enumerate_fock(ModeSet([2.0, 3.0], m=0.0, a_out=5.0), 1, omega_cut=4.0)
@@ -554,21 +553,29 @@ class TestTrajectoryEnsemble:
                 ref += prob * component.field.values
         assert np.array_equal(density.field.values, ref)
 
-    def test_unresolved_epsilon_refused_before_any_component(self):
+    def test_unresolved_epsilon_refused_before_any_component(self, monkeypatch):
+        import vanhove.cosmology
+
         state = mixed_degenerate_state()
         pointer = diagonalize_remaining(state)
         pgrid, pfield, _ = self.phase_setup(n=101)
-        labelled = []
-
-        def label_values(si, ei, basis):
-            labelled.append((si, ei))
-            return (basis.omega,)
-
+        values = {(0, 0): (0.3,), (1, 0): (1.0,), (1, 1): (-1.0,), (2, 0): (0.6,)}
+        built = []
+        monkeypatch.setattr(
+            vanhove.cosmology, "_constraint_density", lambda *args: built.append(args)
+        )
         with pytest.raises(ValueError, match="widen epsilon"):
             trajectory_ensemble(
-                pointer, [pfield], MollifierPolicy(0.5 * pgrid.dp), [0.0], label_values
+                pointer, [pfield], MollifierPolicy(0.5 * pgrid.dp), [0.0], values
             )
-        assert labelled == []
+        assert built == []
+
+    def test_missing_components_named(self):
+        pointer = diagonalize_remaining(mixed_degenerate_state())
+        _, pfield, policy = self.phase_setup(n=101)
+        values = {(0, 0): (0.3,), (1, 1): (-1.0,)}
+        with pytest.raises(ValueError, match=r"missing components \[\(1, 0\), \(2, 0\)\]"):
+            trajectory_ensemble(pointer, [pfield], policy, [0.0], values)
 
     def test_end_to_end_from_cosmo_state(self):
         state = mixed_degenerate_state()

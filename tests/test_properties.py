@@ -1,5 +1,5 @@
-"""Property tests of the dephasing, grid, Fock-basis and pointer-basis
-invariants over random inputs.
+"""Property tests of the dephasing, grid, Fock-basis, energy-shell and
+pointer-basis invariants over random inputs.
 
 Grids are uniform or Clenshaw-Curtis with n <= 64; kernels are random
 complex and non-Hermitian (``self_adjoint=False``), so no symmetry of the
@@ -12,12 +12,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vanhove import (
+    CosmoState,
     ModeSet,
     Observable,
     RegularKernel,
     ShellState,
     SingularKernel,
     StateFunctional,
+    cosmo_weak_limit,
     decay_profile,
     enumerate_fock,
     evolve,
@@ -198,6 +200,41 @@ def test_pruned_fock_enumeration_equals_brute_force(box):
     assert basis.occupations == tuple(occ for _, occ in kept)
     assert np.array_equal(basis.energies, np.array([e for e, _ in kept]))
     assert basis.truncated_count == len(every) - len(kept)
+
+
+@given(
+    box=fock_boxes(),
+    eps_shell=st.one_of(st.just(1e-9), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shell_slices_block_the_weak_limit(box, eps_shell, seed):
+    mode_set, n_max, cut = box
+    basis = enumerate_fock(mode_set, n_max, cut)
+    e, d = basis.energies, basis.size
+    shells = basis.shells(eps_shell)
+    bounds = [(s.start, s.stop) for _, s in shells]
+    assert all(s.step is None for _, s in shells)
+    # the slices tile range(d) in order, none empty
+    assert bounds[0][0] == 0 and bounds[-1][1] == d
+    assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
+    assert all(start < stop for start, stop in bounds)
+    for energy, s in shells:
+        assert energy == e[s.start]
+        assert np.all(np.diff(e[s.start:s.stop]) <= eps_shell)
+        if s.start:
+            assert e[s.start] - e[s.start - 1] > eps_shell
+
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-1.0, 1.0, (d, d)) + 1j * rng.uniform(-1.0, 1.0, (d, d))
+    rho = raw + raw.conj().T
+    rho[np.diag_indices(d)] = rng.uniform(0.5, 1.0, d)
+    rho /= np.trace(rho).real
+    state = CosmoState(basis, rho, eps_shell)
+    shell_of = np.repeat(np.arange(len(bounds)), [stop - start for start, stop in bounds])
+    same_shell = shell_of[:, None] == shell_of[None, :]
+    assert np.array_equal(cosmo_weak_limit(state).matrix, np.where(same_shell, state.matrix, 0.0))
+    removed = np.abs(state.matrix)[~same_shell]
+    assert state.cross_block_magnitude() == removed.max(initial=0.0)
 
 
 @st.composite
