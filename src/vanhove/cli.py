@@ -12,11 +12,9 @@ import os
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import KIND_SCHEMAS, load_config
 from .errors import ConfigError, VanHoveError
 from .harness import run_experiment
-
-_KINDS = ("evolve", "weak-limit", "wigner", "cosmo", "validate", "oracle")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,7 +23,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="declarative experiment runner for spectral-kernel decoherence",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in _KINDS:
+    for kind in KIND_SCHEMAS:
         p = sub.add_parser(kind, help=f"run a '{kind}' experiment config")
         p.add_argument("--config", required=True, type=Path, help="JSON config file")
         p.add_argument("--out", required=True, type=Path, help="output directory")

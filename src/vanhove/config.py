@@ -1,7 +1,9 @@
 """Experiment configuration: JSON schema, loading, canonical hashing.
 
-Configs are strict JSON: unknown fields are errors, not warnings.  Every
-experiment kind has its own schema; ``load_config`` parses, validates,
+Configs are strict JSON: unknown fields are errors, not warnings.  One
+schema covers every experiment kind; each union in it is picked by a tag
+field (``kind``, a descriptor's ``type``, a potential's ``family``), so a
+refusal names the offending field.  ``load_config`` parses, validates,
 and resolves table paths relative to the config file.
 """
 from __future__ import annotations
@@ -16,157 +18,128 @@ from .errors import ConfigError
 
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
+_NONNEG = {"type": "number", "minimum": 0}
+_PATH = {"type": "string"}
 
-DESCRIPTOR = {
-    "oneOf": [
+
+def _strict(properties: dict, *required: str) -> dict:
+    """An object with only the given properties, the named ones required."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": list(required),
+        "additionalProperties": False,
+    }
+
+
+def _tagged(tag: str, variants: dict) -> dict:
+    """An object whose ``tag`` value picks one of ``variants``: tag value ->
+    _strict schema of the other fields.  Each branch applies only when the
+    tag is present and holds its value, so a refusal names a field of the
+    chosen variant."""
+    branches = [
         {
-            "type": "object",
-            "properties": {
-                "type": {"const": "gaussian"},
-                "mu": _NUM,
-                "sigma": _POS,
-                "amplitude": _NUM,
-            },
-            "required": ["type", "mu", "sigma"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "lorentzian"},
-                "center": _NUM,
-                "gamma": _POS,
-                "amplitude": _NUM,
-            },
-            "required": ["type", "center", "gamma"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"type": {"const": "uniform"}},
-            "required": ["type"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"type": {"const": "point"}, "omega": {"type": "number", "minimum": 0}},
-            "required": ["type", "omega"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"type": {"const": "table"}, "path": {"type": "string"}},
-            "required": ["type", "path"],
-            "additionalProperties": False,
-        },
+            "if": {"properties": {tag: {"const": value}}, "required": [tag]},
+            "then": {**schema, "properties": {tag: True, **schema["properties"]}},
+        }
+        for value, schema in variants.items()
     ]
-}
+    return {
+        "type": "object",
+        "properties": {tag: {"enum": list(variants)}},
+        "required": [tag],
+        "allOf": branches,
+    }
 
-GRID = {
-    "type": "object",
-    "properties": {
+
+DESCRIPTOR = _tagged(
+    "type",
+    {
+        "gaussian": _strict({"mu": _NUM, "sigma": _POS, "amplitude": _NUM}, "mu", "sigma"),
+        "lorentzian": _strict(
+            {"center": _NUM, "gamma": _POS, "amplitude": _NUM}, "center", "gamma"
+        ),
+        "uniform": _strict({}),
+        "point": _strict({"omega": _NONNEG}, "omega"),
+        "table": _strict({"path": _PATH}, "path"),
+    },
+)
+
+# the keys of these blocks are the keyword arguments of make_grid,
+# state_from_descriptors, observable_from_descriptors and PhaseGrid
+GRID = _strict(
+    {
         "omega_max": _POS,
         "n": {"type": "integer", "minimum": 2},
         "scheme": {"enum": ["uniform", "chebyshev"]},
     },
-    "required": ["omega_max", "n"],
-    "additionalProperties": False,
-}
+    "omega_max", "n",
+)
 
-STATE = {
-    "type": "object",
-    "properties": {
-        "singular": DESCRIPTOR,
-        "regular": DESCRIPTOR,
-        "normalize": {"type": "boolean"},
-    },
-    "required": ["singular"],
-    "additionalProperties": False,
-}
+STATE = _strict(
+    {"singular": DESCRIPTOR, "regular": DESCRIPTOR, "normalize": {"type": "boolean"}},
+    "singular",
+)
 
-OBSERVABLE = {
-    "type": "object",
-    "properties": {
-        "singular": DESCRIPTOR,
-        "regular": DESCRIPTOR,
-        "self_adjoint": {"type": "boolean"},
-    },
-    "additionalProperties": False,
-}
+OBSERVABLE = _strict(
+    {"singular": DESCRIPTOR, "regular": DESCRIPTOR, "self_adjoint": {"type": "boolean"}}
+)
 
-TIMES = {
-    "type": "object",
-    "properties": {
-        "start": _NUM,
-        "stop": _NUM,
-        "count": {"type": "integer", "minimum": 1},
-    },
-    "required": ["start", "stop", "count"],
-    "additionalProperties": False,
-}
+TIMES = _strict(
+    {"start": _NUM, "stop": _NUM, "count": {"type": "integer", "minimum": 1}},
+    "start", "stop", "count",
+)
 
-PHASE_GRID = {
-    "type": "object",
-    "properties": {
-        "q_range": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-        "p_range": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
+_RANGE = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
+
+PHASE_GRID = _strict(
+    {
+        "q_range": _RANGE,
+        "p_range": _RANGE,
         "nq": {"type": "integer", "minimum": 2},
         "np": {"type": "integer", "minimum": 2},
     },
-    "required": ["q_range", "p_range", "nq", "np"],
-    "additionalProperties": False,
-}
+    "q_range", "p_range", "nq", "np",
+)
 
-PHASE_FUNCTION = {
-    "type": "object",
-    "properties": {"type": {"enum": ["harmonic", "kinetic", "momentum", "coordinate"]}},
-    "required": ["type"],
-    "additionalProperties": False,
-}
+PHASE_FUNCTION = _strict(
+    {"type": {"enum": ["harmonic", "kinetic", "momentum", "coordinate"]}}, "type"
+)
 
-POTENTIAL = {
-    "type": "object",
-    "properties": {
-        "family": {"enum": ["constant", "quadratic-cap", "table"]},
-        "lambda": {"type": "number", "minimum": 0},
-        "a1": _POS,
-        "path": {"type": "string"},
+_CLOSED_FORM = _strict({"lambda": _NONNEG, "a1": _POS}, "a1")
+
+POTENTIAL = _tagged(
+    "family",
+    {
+        "constant": _CLOSED_FORM,
+        "quadratic-cap": _CLOSED_FORM,
+        "table": _strict({"a1": _POS, "path": _PATH}, "a1", "path"),
     },
-    "required": ["family", "a1"],
-    "additionalProperties": False,
-}
+)
 
-MODES = {
-    "type": "object",
-    "properties": {
+MODES = _strict(
+    {
         "k_values": {"type": "array", "items": _POS, "minItems": 1},
         "generator": {"enum": ["sqrt-primes"]},
         "count": {"type": "integer", "minimum": 1},
         "scale": _POS,
-        "m": {"type": "number", "minimum": 0},
+        "m": _NONNEG,
         "a_out": _POS,
     },
-    "required": ["m", "a_out"],
-    "additionalProperties": False,
-}
+    "m", "a_out",
+)
 
-COSMO_STATE = {
-    "type": "object",
-    "properties": {
-        "type": {"enum": ["uniform", "random", "explicit"]},
-        "coherence": {"type": "number", "minimum": 0, "maximum": 1},
-        "re": {"type": "array"},
-        "im": {"type": "array"},
+COSMO_STATE = _tagged(
+    "type",
+    {
+        "uniform": _strict({}),
+        "random": _strict({"coherence": {"type": "number", "minimum": 0, "maximum": 1}}),
+        "explicit": _strict({"re": {"type": "array"}, "im": {"type": "array"}}, "re"),
     },
-    "required": ["type"],
-    "if": {"properties": {"type": {"const": "explicit"}}},
-    "then": {"required": ["re"]},
-    "additionalProperties": False,
-}
+)
 
-TRAJECTORY = {
-    "type": "object",
-    "properties": {
+TRAJECTORY = _strict(
+    {
         "phase_grid": PHASE_GRID,
         "epsilon": _POS,
         "invariants": {"type": "array", "items": PHASE_FUNCTION, "minItems": 1},
@@ -176,16 +149,16 @@ TRAJECTORY = {
             "items": {"type": "array", "items": {"type": "array", "items": _NUM}},
         },
     },
-    "required": ["phase_grid", "epsilon", "invariants", "a0_points"],
-    "additionalProperties": False,
-}
+    "phase_grid", "epsilon", "invariants", "a0_points",
+)
 
+_SEED = {"type": "integer", "minimum": 0}
+
+# experiment kind -> schema of the config's other fields
 KIND_SCHEMAS = {
-    "evolve": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "evolve"},
-            "seed": {"type": "integer", "minimum": 0},
+    "evolve": _strict(
+        {
+            "seed": _SEED,
             "grid": GRID,
             "state": STATE,
             "observable": OBSERVABLE,
@@ -194,14 +167,11 @@ KIND_SCHEMAS = {
             "expected_rate": _POS,
             "rate_rtol": _POS,
         },
-        "required": ["kind", "grid", "state", "observable", "times"],
-        "additionalProperties": False,
-    },
-    "weak-limit": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "weak-limit"},
-            "seed": {"type": "integer", "minimum": 0},
+        "grid", "state", "observable", "times",
+    ),
+    "weak-limit": _strict(
+        {
+            "seed": _SEED,
             "grid": GRID,
             "state": STATE,
             "observable": OBSERVABLE,
@@ -209,37 +179,26 @@ KIND_SCHEMAS = {
             "t_min": _NUM,
             "tolerance": _POS,
         },
-        "required": ["kind", "grid", "state", "observable", "times"],
-        "additionalProperties": False,
-    },
-    "wigner": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "wigner"},
-            "seed": {"type": "integer", "minimum": 0},
+        "grid", "state", "observable", "times",
+    ),
+    "wigner": _strict(
+        {
+            "seed": _SEED,
             "grid": GRID,
             "phase_grid": PHASE_GRID,
             "hamiltonian": PHASE_FUNCTION,
             "state": STATE,
-            "observable": {
-                "type": "object",
-                "properties": {"singular": DESCRIPTOR},
-                "required": ["singular"],
-                "additionalProperties": False,
-            },
+            "observable": _strict({"singular": DESCRIPTOR}, "singular"),
             "epsilon": _POS,
             "tolerance": _POS,
         },
-        "required": ["kind", "grid", "phase_grid", "hamiltonian", "state"],
-        "additionalProperties": False,
-    },
-    "cosmo": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "cosmo"},
-            "seed": {"type": "integer", "minimum": 0},
+        "grid", "phase_grid", "hamiltonian", "state",
+    ),
+    "cosmo": _strict(
+        {
+            "seed": _SEED,
             "potential": POTENTIAL,
-            "a0": {"type": "number", "minimum": 0},
+            "a0": _NONNEG,
             "branch": {"enum": [1, -1]},
             "eta_max": _POS,
             "tol": _POS,
@@ -251,40 +210,29 @@ KIND_SCHEMAS = {
             "state": COSMO_STATE,
             "trajectory": TRAJECTORY,
         },
-        "required": [
-            "kind", "potential", "a0", "branch", "eta_max", "modes", "n_max", "state",
-        ],
-        "additionalProperties": False,
-    },
-    "validate": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "validate"},
-            "grid": GRID,
-            "state": STATE,
-        },
-        "required": ["kind", "grid", "state"],
-        "additionalProperties": False,
-    },
+        "potential", "a0", "branch", "eta_max", "modes", "n_max", "state",
+    ),
+    "validate": _strict({"grid": GRID, "state": STATE}, "grid", "state"),
     "oracle": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "oracle"},
-            "seed": {"type": "integer", "minimum": 0},
-            "target": {"enum": ["pair", "cosmo-expectation"]},
-            "trials": {"type": "integer", "minimum": 1},
-            "tolerance": _POS,
-            "n": {"type": "integer", "minimum": 2},
-            "modes": MODES,
-            "n_max": {"type": "integer", "minimum": 1},
-            "t_max": _POS,
-        },
-        "required": ["kind", "target"],
+        **_strict(
+            {
+                "seed": _SEED,
+                "target": {"enum": ["pair", "cosmo-expectation"]},
+                "trials": {"type": "integer", "minimum": 1},
+                "tolerance": _POS,
+                "n": {"type": "integer", "minimum": 2},
+                "modes": MODES,
+                "n_max": {"type": "integer", "minimum": 1},
+                "t_max": _POS,
+            },
+            "target",
+        ),
         "if": {"properties": {"target": {"const": "cosmo-expectation"}}},
         "then": {"required": ["modes"]},
-        "additionalProperties": False,
     },
 }
+
+CONFIG = _tagged("kind", KIND_SCHEMAS)
 
 # the RNG behind every randomized descriptor; counter-based so any
 # implementation can reproduce the stream from (seed, draw order)
@@ -307,14 +255,7 @@ def load_config(path) -> dict:
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
 
-    if not isinstance(config, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    kind = config.get("kind")
-    if kind not in KIND_SCHEMAS:
-        raise ConfigError(
-            f"{path}: field 'kind' must be one of {sorted(KIND_SCHEMAS)}, got {kind!r}"
-        )
-    validator = jsonschema.Draft202012Validator(KIND_SCHEMAS[kind])
+    validator = jsonschema.Draft202012Validator(CONFIG)
     errors = sorted(validator.iter_errors(config), key=lambda e: list(map(str, e.path)))
     if errors:
         err = errors[0]

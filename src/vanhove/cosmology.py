@@ -528,6 +528,27 @@ class TrajectoryEnsemble:
         write_csv(path, header, [range(len(a0)), l_cells, a0, probability])
 
 
+def check_label_values(label_values, shell_sizes, n_fields: int) -> None:
+    """Refuse a (shell index, pointer label) -> l values mapping that lacks
+    a component of shells with the given sizes, or gives one a number of
+    values other than ``n_fields``; the message names the first shell at
+    fault."""
+    for si, size in enumerate(shell_sizes):
+        given = [label_values[(si, ei)] for ei in range(size) if (si, ei) in label_values]
+        if len(given) < size:
+            raise ValueError(
+                f"l values missing components: of the {len(shell_sizes)} energy "
+                f"shells, shell {si} has {size} pointer labels and l values for "
+                f"{len(given)}; give one per (shell index, pointer label)"
+            )
+        for ei, lv in enumerate(given):
+            if len(lv) != n_fields:
+                raise ValueError(
+                    f"component ({si}, {ei}) got {len(lv)} l values for "
+                    f"{n_fields} invariant fields"
+                )
+
+
 def trajectory_ensemble(
     pointer: list[PointerBasis],
     invariant_fields: list[PhaseField],
@@ -567,12 +588,7 @@ def trajectory_ensemble(
                 "invariant field"
             )
         label_values = {(si, ei): (pointer[si].omega,) for si, ei in components}
-    missing = [key for key in components if key not in label_values]
-    if missing:
-        raise ValueError(
-            f"l values missing components {missing}; give one per "
-            "(shell index, pointer label)"
-        )
+    check_label_values(label_values, [pb.size for pb in pointer], len(invariant_fields))
 
     total = sum(float(pb.eigenvalues.sum()) for pb in pointer)
     if abs(total - 1.0) > 1e-8:
@@ -591,11 +607,6 @@ def trajectory_ensemble(
     jobs = []
     for si, ei in components:
         lv = tuple(float(x) for x in label_values[(si, ei)])
-        if len(lv) != len(invariant_fields):
-            raise ValueError(
-                f"component ({si}, {ei}) got {len(lv)} l values for "
-                f"{len(invariant_fields)} invariant fields"
-            )
         prob = max(float(pointer[si].eigenvalues[ei]), 0.0) * uniform
         jobs.extend((lv, a0, prob) for a0 in a0_points)
 

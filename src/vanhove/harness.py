@@ -57,8 +57,11 @@ from . import cosmology as cosmo
 
 
 # Fraction of the recurrence time up to which dephasing on a finite grid
-# is physical; later samples are aliasing artefacts of the grid.
-RECURRENCE_WINDOW = 0.8
+# is physical.  A uniform grid's profile is periodic with the recurrence
+# time, so past half of it the sample at t equals the one at t minus the
+# recurrence time, which lies nearer the origin: the decay shown is the
+# alias's.
+RECURRENCE_WINDOW = 0.5
 
 
 class StageError(VanHoveError):
@@ -117,30 +120,6 @@ def _write_json(run: _Run, name: str, payload: dict) -> None:
 
 def _write_csv(run: _Run, name: str, header: list[str], columns) -> None:
     run.record(name, lambda path: write_csv(path, header, columns))
-
-
-def _grid_from(cfg: dict):
-    return make_grid(cfg["omega_max"], cfg["n"], cfg.get("scheme", "uniform"))
-
-
-def _state_from(grid, cfg: dict) -> StateFunctional:
-    return state_from_descriptors(
-        grid, cfg["singular"], cfg.get("regular"), cfg.get("normalize", True)
-    )
-
-
-def _observable_from(grid, cfg: dict) -> Observable:
-    return observable_from_descriptors(
-        grid, cfg.get("singular"), cfg.get("regular"), cfg.get("self_adjoint", True)
-    )
-
-
-def _times_from(cfg: dict) -> np.ndarray:
-    return np.linspace(cfg["start"], cfg["stop"], cfg["count"])
-
-
-def _phase_grid_from(cfg: dict) -> PhaseGrid:
-    return PhaseGrid(tuple(cfg["q_range"]), tuple(cfg["p_range"]), cfg["nq"], cfg["np"])
 
 
 _PHASE_FUNCTIONS = {
@@ -216,23 +195,25 @@ def _build_dephasing(config):
     """Grid, times, state and observable of an evolve or weak-limit run;
     times outside the recurrence window are refused before the kernels
     are built."""
-    grid = _grid_from(config["grid"])
-    times = _times_from(config["times"])
+    grid = make_grid(**config["grid"])
+    span = config["times"]
+    times = np.linspace(span["start"], span["stop"], span["count"])
     t_max = float(np.max(np.abs(times)))
     limit = RECURRENCE_WINDOW * recurrence_time(grid)
     if t_max > limit:
-        needed = grid_size_for_spacing(
-            config["grid"]["omega_max"],
-            2.0 * np.pi * RECURRENCE_WINDOW / t_max,
-            config["grid"].get("scheme", "uniform"),
-        )
+        # the grid block less n: make_grid's other arguments, which
+        # grid_size_for_spacing shares
+        shape = {key: value for key, value in config["grid"].items() if key != "n"}
+        spacing = 2.0 * np.pi * RECURRENCE_WINDOW / t_max
+        needed = grid_size_for_spacing(spacing=spacing, **shape)
         raise ConfigError(
             f"times reach t = {t_max:g}, past {RECURRENCE_WINDOW} * recurrence_time "
-            f"= {limit:.6g} of the n={grid.size} grid, where dephasing is grid "
-            f"aliasing; use grid n >= {needed}"
+            f"= {limit:.6g} of the n={grid.size} grid, where the grid's alias of t "
+            f"lies nearer the origin than t and the decay is the alias's; use grid "
+            f"n >= {needed}"
         )
-    state = _state_from(grid, config["state"])
-    obs = _observable_from(grid, config["observable"])
+    state = state_from_descriptors(grid, **config["state"])
+    obs = observable_from_descriptors(grid, **config["observable"])
     return grid, state, obs, times
 
 
@@ -307,9 +288,9 @@ def _run_weak_limit(config, run: _Run, threads: int, seed) -> None:
 
 def _run_wigner(config, run: _Run, threads: int, seed) -> None:
     with run.stage("build"):
-        grid = _grid_from(config["grid"])
-        state = _state_from(grid, config["state"])
-        pgrid = _phase_grid_from(config["phase_grid"])
+        grid = make_grid(**config["grid"])
+        state = state_from_descriptors(grid, **config["state"])
+        pgrid = PhaseGrid(**config["phase_grid"])
         hfield = _PHASE_FUNCTIONS[config["hamiltonian"]["type"]](pgrid)
         policy = (
             MollifierPolicy(config["epsilon"])
@@ -327,7 +308,7 @@ def _run_wigner(config, run: _Run, threads: int, seed) -> None:
             "edge_fraction": float(density.edge_fraction()),
         }
         if "observable" in config:
-            obs = _observable_from(grid, config["observable"])
+            obs = observable_from_descriptors(grid, **config["observable"])
             ofield = wigner_singular(obs.singular, hfield)
             classical = classical_expectation(density, ofield)
             quantum = pair(weak_limit(state), obs).real
@@ -348,10 +329,7 @@ def _load_potential(cfg: dict) -> cosmo.Potential:
         return cosmo.constant_potential(cfg.get("lambda", 0.0), cfg["a1"])
     if family == "quadratic-cap":
         return cosmo.quadratic_cap_potential(cfg.get("lambda", 0.0), cfg["a1"])
-    path = cfg.get("path")
-    if path is None:
-        raise ConfigError("table potential needs a 'path'")
-    rows = read_csv(Path(path), ["a", "V"])
+    rows = read_csv(Path(cfg["path"]), ["a", "V"])
     return cosmo.table_potential([r[0] for r in rows], [r[1] for r in rows], cfg["a1"])
 
 
@@ -397,6 +375,16 @@ def _run_cosmo(config, run: _Run, threads: int, seed) -> None:
         basis = cosmo.enumerate_fock(mode_set, config["n_max"], config.get("omega_cut"))
         eps_shell = config.get("eps_shell", cosmo.DEFAULT_EPS_SHELL)
         state = _cosmo_state_from(config["state"], basis, eps_shell, rng)
+        tcfg = config.get("trajectory", {})
+        label_values = None
+        if "l_values" in tcfg:
+            label_values = {
+                (si, ei): vec
+                for si, shell in enumerate(tcfg["l_values"])
+                for ei, vec in enumerate(shell)
+            }
+            sizes = [s.stop - s.start for _, s in state.shells]
+            cosmo.check_label_values(label_values, sizes, len(tcfg["invariants"]))
     with run.stage("scale-factor"):
         solution = cosmo.solve_scale_factor(
             potential,
@@ -418,17 +406,9 @@ def _run_cosmo(config, run: _Run, threads: int, seed) -> None:
 
     if "trajectory" in config:
         with run.stage("trajectories"):
-            tcfg = config["trajectory"]
-            pgrid = _phase_grid_from(tcfg["phase_grid"])
+            pgrid = PhaseGrid(**tcfg["phase_grid"])
             fields = [_PHASE_FUNCTIONS[f["type"]](pgrid) for f in tcfg["invariants"]]
             policy = MollifierPolicy(tcfg["epsilon"])
-            label_values = tcfg.get("l_values")
-            if label_values is not None:
-                label_values = {
-                    (si, ei): vec
-                    for si, shell in enumerate(label_values)
-                    for ei, vec in enumerate(shell)
-                }
             ensemble, density = cosmo.trajectory_ensemble(
                 pointers,
                 fields,
@@ -464,8 +444,8 @@ def _run_cosmo(config, run: _Run, threads: int, seed) -> None:
 
 def _run_validate(config, run: _Run, threads: int, seed) -> None:
     with run.stage("validate"):
-        grid = _grid_from(config["grid"])
-        state = _state_from(grid, config["state"])
+        grid = make_grid(**config["grid"])
+        state = state_from_descriptors(grid, **config["state"])
         report = validate_state(state)
         _write_json(run, "validation.json", report.as_dict())
         for violation in report.violations:
@@ -510,7 +490,7 @@ def _run_oracle(config, run: _Run, threads: int, seed) -> None:
                 ref = dense_pair_oracle(state, obs)
                 max_abs = max(max_abs, abs(got - ref))
                 max_rel = max(max_rel, abs(got - ref) / max(abs(ref), 1e-30))
-    elif target == "cosmo-expectation":
+    else:
         with run.stage("cosmo-trials"):
             mode_set = _mode_set_from(config["modes"])
             basis = cosmo.enumerate_fock(mode_set, config.get("n_max", 2))
@@ -529,8 +509,6 @@ def _run_oracle(config, run: _Run, threads: int, seed) -> None:
                 )
                 max_abs = max(max_abs, abs(got - ref))
                 max_rel = max(max_rel, abs(got - ref) / max(abs(ref), 1e-30))
-    else:  # pragma: no cover - schema forbids
-        raise ConfigError(f"unknown oracle target {target!r}")
 
     with run.stage("report"):
         max_abs, max_rel = float(max_abs), float(max_rel)

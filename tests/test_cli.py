@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,13 +252,20 @@ class TestRecurrenceRefusal:
 
     @pytest.mark.parametrize("kind", ["evolve", "weak-limit"])
     def test_stop_past_window_is_2(self, tmp_path, capsys, kind):
-        # n=64 on [0, 10]: 0.8 * recurrence_time = 0.8 * 2 pi * 63 / 10 = 31.7
+        # n=64 on [0, 10]: 0.5 * recurrence_time = 0.5 * 2 pi * 63 / 10 = 19.8
         rc = self.run(tmp_path, kind, {"omega_max": 10.0, "n": 64}, 40.0)
         assert rc == 2
         err = capsys.readouterr().err
         assert "recurrence_time" in err
-        assert "n >= 81" in err
+        assert "n >= 129" in err
         assert not any((tmp_path / "out").glob("*.csv"))
+
+    def test_stop_past_half_recurrence_is_2(self, tmp_path, capsys):
+        # 0.6 * recurrence_time of the n=64 grid: the sample at t equals the
+        # one at t - recurrence_time, which lies nearer the origin
+        stop = 0.6 * 2.0 * np.pi * 63 / 10.0
+        assert self.run(tmp_path, "evolve", {"omega_max": 10.0, "n": 64}, stop) == 2
+        assert "0.5 * recurrence_time" in capsys.readouterr().err
 
     def test_time_beyond_any_grid_is_2(self, tmp_path, capsys):
         rc = self.run(tmp_path, "evolve", {"omega_max": 10.0, "n": 64}, 1e308)
@@ -265,7 +274,7 @@ class TestRecurrenceRefusal:
 
     @pytest.mark.parametrize(
         "scheme, stop, needed",
-        [("uniform", 40.0, 81), ("chebyshev", 100.0, 24)],
+        [("uniform", 40.0, 129), ("chebyshev", 100.0, 30)],
     )
     def test_named_n_is_the_smallest_accepted(self, tmp_path, capsys, scheme, stop, needed):
         grid = {"omega_max": 10.0, "n": needed - 1, "scheme": scheme}
@@ -403,10 +412,13 @@ class TestCosmoKind:
     def test_l_values_must_cover_components(self, tmp_path, capsys):
         cfg = self.config()
         cfg["trajectory"]["l_values"] = [[[0.3]]]
-        rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)),
-                   "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
         assert rc == 2
-        assert "missing components" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "stage 'fock-basis'" in err
+        assert "missing components: of the 3 energy shells, shell 1 has 2" in err
+        assert list(out.iterdir()) == []
 
     def test_random_state_requires_seed(self, tmp_path):
         cfg = self.config()
@@ -459,6 +471,85 @@ class TestOracleKind:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "'modes' is a required property" in capsys.readouterr().err
+
+
+def _evolve_with_singular(descriptor):
+    cfg = gaussian_evolve_config()
+    cfg["state"]["singular"] = descriptor
+    return cfg
+
+
+def _cosmo_with(**fields):
+    cfg = TestCosmoKind().config()
+    cfg.update(fields)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "make_config, named",
+    [
+        pytest.param(
+            lambda: _evolve_with_singular({"type": "gaussian", "mu": 5.0}),
+            "field 'state/singular': 'sigma' is a required property",
+            id="gaussian-without-sigma",
+        ),
+        pytest.param(
+            lambda: _evolve_with_singular({"type": "gaussian", "mu": 5.0, "sigma": -1}),
+            "field 'state/singular/sigma': -1 is less than or equal to the minimum of 0",
+            id="negative-sigma",
+        ),
+        pytest.param(
+            lambda: _evolve_with_singular({"type": "gausian", "mu": 5.0, "sigma": 0.5}),
+            "field 'state/singular/type': 'gausian' is not one of",
+            id="unknown-descriptor-type",
+        ),
+        pytest.param(
+            lambda: _evolve_with_singular(
+                {"type": "gaussian", "mu": 5.0, "sigma": 0.5, "width": 1.0}
+            ),
+            "field 'state/singular': Additional properties are not allowed "
+            "('width' was unexpected)",
+            id="extra-descriptor-key",
+        ),
+        pytest.param(
+            lambda: _cosmo_with(state={"type": "uniform", "coherence": 0.3}),
+            "field 'state': Additional properties are not allowed "
+            "('coherence' was unexpected)",
+            id="uniform-state-with-coherence",
+        ),
+        pytest.param(
+            lambda: _cosmo_with(potential={"family": "table", "a1": 1.0}),
+            "field 'potential': 'path' is a required property",
+            id="table-potential-without-path",
+        ),
+        pytest.param(
+            lambda: {"kind": "oracle", "target": "cosmo-expectation", "seed": 3},
+            "field '<root>': 'modes' is a required property",
+            id="cosmo-oracle-without-modes",
+        ),
+    ],
+)
+def test_malformed_config_names_field(tmp_path, capsys, make_config, named):
+    cfg = make_config()
+    out = tmp_path / "out"
+    rc = main([cfg["kind"], "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_configs_load_and_evolve_example_runs(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    kinds = []
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme_{i}.json"
+        path.write_text(block)
+        kinds.append(load_config(path)["kind"])
+        if kinds[-1] == "evolve":
+            rc = main(["evolve", "--config", str(path), "--out", str(tmp_path / f"out_{i}")])
+            assert rc == 0
+    assert "evolve" in kinds
 
 
 class TestReproducibility:

@@ -574,7 +574,8 @@ class TestTrajectoryEnsemble:
         pointer = diagonalize_remaining(mixed_degenerate_state())
         _, pfield, policy = self.phase_setup(n=101)
         values = {(0, 0): (0.3,), (1, 1): (-1.0,)}
-        with pytest.raises(ValueError, match=r"missing components \[\(1, 0\), \(2, 0\)\]"):
+        named = "of the 3 energy shells, shell 1 has 2 pointer labels and l values for 1"
+        with pytest.raises(ValueError, match=named):
             trajectory_ensemble(pointer, [pfield], policy, [0.0], values)
 
     def test_end_to_end_from_cosmo_state(self):
