@@ -138,19 +138,24 @@ COSMO_STATE = _tagged(
     },
 )
 
-TRAJECTORY = _strict(
-    {
-        "phase_grid": PHASE_GRID,
-        "epsilon": _POS,
-        "invariants": {"type": "array", "items": PHASE_FUNCTION, "minItems": 1},
-        "a0_points": {"type": "array", "items": _NUM, "minItems": 1},
-        "l_values": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "array", "items": _NUM}},
+TRAJECTORY = {
+    **_strict(
+        {
+            "phase_grid": PHASE_GRID,
+            "epsilon": _POS,
+            "invariants": {"type": "array", "items": PHASE_FUNCTION, "minItems": 1},
+            "a0_points": {"type": "array", "items": _NUM, "minItems": 1},
+            "l_values": {
+                "type": "array",
+                "items": {"type": "array", "items": {"type": "array", "items": _NUM}},
+            },
         },
-    },
-    "phase_grid", "epsilon", "invariants", "a0_points",
-)
+        "phase_grid", "epsilon", "invariants", "a0_points",
+    ),
+    # the default l = (shell energy,) serves a single invariant only
+    "if": {"properties": {"invariants": {"minItems": 2}}, "required": ["invariants"]},
+    "then": {"required": ["l_values"]},
+}
 
 _SEED = {"type": "integer", "minimum": 0}
 

@@ -24,7 +24,6 @@ from scipy.integrate import solve_ivp
 from ._csv import write_csv
 from .errors import (
     DegenerateSupportError,
-    GridMismatchError,
     IncompatibleBasisError,
     InvalidPotentialError,
     NotEquilibratedError,
@@ -32,11 +31,9 @@ from .errors import (
 from .pointer import PointerBasis, ShellState, pointer_state
 from .wigner import (
     ClassicalDensity,
+    ConstraintSet,
     MollifierPolicy,
     PhaseField,
-    _check_epsilon,
-    _constraint_density,
-    _HBins,
     coordinate_field,
 )
 
@@ -528,18 +525,20 @@ class TrajectoryEnsemble:
         write_csv(path, header, [range(len(a0)), l_cells, a0, probability])
 
 
-def check_label_values(label_values, shell_sizes, n_fields: int) -> None:
-    """Refuse a (shell index, pointer label) -> l values mapping that lacks
-    a component of shells with the given sizes, or gives one a number of
-    values other than ``n_fields``; the message names the first shell at
-    fault."""
+def check_l_values(l_values, shell_sizes, n_fields: int) -> None:
+    """Refuse l values that are not one list per energy shell, holding one
+    sequence of ``n_fields`` values per pointer label of the shell (the
+    shape of the config's ``trajectory.l_values``); the message names the
+    first shell at fault."""
+    n_shells = len(shell_sizes)
     for si, size in enumerate(shell_sizes):
-        given = [label_values[(si, ei)] for ei in range(size) if (si, ei) in label_values]
-        if len(given) < size:
+        given = l_values[si] if si < len(l_values) else []
+        if len(given) != size:
+            fault = "missing components" if len(given) < size else "extra components"
             raise ValueError(
-                f"l values missing components: of the {len(shell_sizes)} energy "
-                f"shells, shell {si} has {size} pointer labels and l values for "
-                f"{len(given)}; give one per (shell index, pointer label)"
+                f"l values {fault}: of the {n_shells} energy shells, shell {si} "
+                f"has {size} pointer labels and l values for {len(given)}; "
+                f"give one per (shell index, pointer label)"
             )
         for ei, lv in enumerate(given):
             if len(lv) != n_fields:
@@ -547,6 +546,11 @@ def check_label_values(label_values, shell_sizes, n_fields: int) -> None:
                     f"component ({si}, {ei}) got {len(lv)} l values for "
                     f"{n_fields} invariant fields"
                 )
+    if len(l_values) > n_shells:
+        raise ValueError(
+            f"l values extra components: {len(l_values)} shell lists for "
+            f"{n_shells} energy shells; give one list per shell"
+        )
 
 
 def trajectory_ensemble(
@@ -554,7 +558,7 @@ def trajectory_ensemble(
     invariant_fields: list[PhaseField],
     policy: MollifierPolicy,
     a0_points,
-    label_values=None,
+    l_values=None,
     threads: int = 1,
 ) -> tuple[TrajectoryEnsemble, ClassicalDensity]:
     """Resolve pointer spectra into weighted, mollified trajectory densities.
@@ -566,29 +570,23 @@ def trajectory_ensemble(
     Components whose constraints have empty support are flagged degenerate
     and excluded from the summed density (their probability is kept).
 
-    ``label_values`` maps each (shell index, eigen index) to the numeric
-    invariants of that component; by default a single invariant field
-    takes l = (shell energy,).
+    ``l_values`` holds one list per shell, one sequence per pointer label
+    and one value per invariant field, as ``trajectory.l_values`` in a
+    config; by default a single invariant field takes l = (shell energy,).
     """
     if not invariant_fields:
         raise ValueError("need at least one invariant field")
-    grid = invariant_fields[0].grid
-    for f in invariant_fields[1:]:
-        if f.grid != grid:
-            raise GridMismatchError("invariant fields live on different grids")
     a0_points = [float(a) for a in np.atleast_1d(a0_points)]
     if not a0_points:
         raise ValueError("need at least one reference coordinate")
-
-    components = [(si, ei) for si, pb in enumerate(pointer) for ei in range(pb.size)]
-    if label_values is None:
+    if l_values is None:
         if len(invariant_fields) != 1:
             raise ValueError(
-                "label_values must be supplied when there is more than one "
+                "l_values must be supplied when there is more than one "
                 "invariant field"
             )
-        label_values = {(si, ei): (pointer[si].omega,) for si, ei in components}
-    check_label_values(label_values, [pb.size for pb in pointer], len(invariant_fields))
+        l_values = [[(pb.omega,)] * pb.size for pb in pointer]
+    check_l_values(l_values, [pb.size for pb in pointer], len(invariant_fields))
 
     total = sum(float(pb.eigenvalues.sum()) for pb in pointer)
     if abs(total - 1.0) > 1e-8:
@@ -597,41 +595,35 @@ def trajectory_ensemble(
             "trace-one equilibrium state"
         )
 
-    qfield = coordinate_field(grid)
-    fields = list(invariant_fields) + [qfield]
     # every component shares the fields and the width: check and bin once
-    _check_epsilon(policy, fields)
-    bins = _HBins(fields[0], policy.epsilon)
+    qfield = coordinate_field(invariant_fields[0].grid)
+    constraints = ConstraintSet([*invariant_fields, qfield], policy)
     uniform = 1.0 / len(a0_points)
-
-    jobs = []
-    for si, ei in components:
-        lv = tuple(float(x) for x in label_values[(si, ei)])
-        prob = max(float(pointer[si].eigenvalues[ei]), 0.0) * uniform
-        jobs.extend((lv, a0, prob) for a0 in a0_points)
+    jobs = [
+        (tuple(float(x) for x in lv), a0, max(float(eig), 0.0) * uniform)
+        for pb, shell in zip(pointer, l_values)
+        for eig, lv in zip(pb.eigenvalues, shell)
+        for a0 in a0_points
+    ]
 
     def build(job):
         lv, a0, prob = job
         if prob == 0.0:
             return TrajectoryEntry(lv, a0, prob), None
         try:
-            comp = _constraint_density(list(lv) + [a0], fields, bins)
+            contribution = constraints.weighted([*lv, a0], prob)
         except DegenerateSupportError:
             return TrajectoryEntry(lv, a0, prob, degenerate=True), None
-        return TrajectoryEntry(lv, a0, prob), prob * comp.field.values
+        return TrajectoryEntry(lv, a0, prob), contribution
 
     # Contributions are added as they arrive, in job order, so the sum and
     # its bytes do not depend on the thread count and finished components
     # are not all held at once.
-    acc = np.zeros((grid.nq, grid.np))
+    acc = np.zeros_like(qfield.values)
     entries = []
     with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
         for entry, contribution in pool.map(build, jobs):
             entries.append(entry)
             if contribution is not None:
                 acc += contribution
-
-    density = ClassicalDensity(
-        PhaseField(grid, acc), policy.epsilon, invariant_fields[0]
-    )
-    return TrajectoryEnsemble(tuple(entries)), density
+    return TrajectoryEnsemble(tuple(entries)), constraints.density(acc)

@@ -376,15 +376,9 @@ def _run_cosmo(config, run: _Run, threads: int, seed) -> None:
         eps_shell = config.get("eps_shell", cosmo.DEFAULT_EPS_SHELL)
         state = _cosmo_state_from(config["state"], basis, eps_shell, rng)
         tcfg = config.get("trajectory", {})
-        label_values = None
         if "l_values" in tcfg:
-            label_values = {
-                (si, ei): vec
-                for si, shell in enumerate(tcfg["l_values"])
-                for ei, vec in enumerate(shell)
-            }
             sizes = [s.stop - s.start for _, s in state.shells]
-            cosmo.check_label_values(label_values, sizes, len(tcfg["invariants"]))
+            cosmo.check_l_values(tcfg["l_values"], sizes, len(tcfg["invariants"]))
     with run.stage("scale-factor"):
         solution = cosmo.solve_scale_factor(
             potential,
@@ -414,7 +408,7 @@ def _run_cosmo(config, run: _Run, threads: int, seed) -> None:
                 fields,
                 policy,
                 tcfg["a0_points"],
-                label_values=label_values,
+                l_values=tcfg.get("l_values"),
                 threads=threads,
             )
             run.record("ensemble.csv", ensemble.to_csv)

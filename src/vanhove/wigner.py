@@ -6,10 +6,12 @@ densities peaked on the level sets H(q, p) = w0; Dirac deltas are
 represented by Gaussian mollifiers of explicit width epsilon (the finite
 stand-in for the hbar -> 0 peak width).
 
-One primitive, ``_mollified_constraints``, builds every mollified density:
-shells (``shell_density``), mixtures of shells (``classical_state_density``)
-and constraint products (``multi_invariant_density``, through the unchecked
-``_constraint_density`` that ``cosmology.trajectory_ensemble`` also calls).
+One builder, ``ConstraintSet``, makes every mollified density: each is a
+weighted sum of its unit-mass constraint products.  Shells
+(``shell_density``), mixtures of shells (``classical_state_density``),
+constraint products (``multi_invariant_density``) and the trajectory
+ensemble (``cosmology.trajectory_ensemble``) differ only in the levels and
+weights they ask for.
 
 Functions of H alone are not integrable over the full (q, p) plane, so
 all masses and expectations here use the energy-integration prescription:
@@ -206,31 +208,60 @@ def _mollifier(field: PhaseField, level: float, epsilon: float) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _mollified_constraints(levels, fields, bins: _HBins) -> tuple[np.ndarray, float]:
-    """Product of Gaussian mollifiers prod_i exp(-(L_i - l_i)^2 / 2 eps^2)
-    and its mass under ``bins``, the H binning of the first field at width
-    eps.  Unchecked: callers validate domain, width and degeneracy."""
-    factors = (_mollifier(f, level, bins.epsilon) for level, f in zip(levels, fields))
-    raw = next(factors)
-    for factor in factors:
-        raw *= factor
-    return raw, bins.mass(raw)
+class ConstraintSet:
+    """Gaussian mollifiers of fixed fields at one width, and their products.
 
+    The fields are checked once: there is at least one, they share a grid,
+    and epsilon resolves each.  Cells are binned by the first field, which
+    plays the Hamiltonian's role in the H-binned prescription."""
 
-def _constraint_density(levels, fields, bins: _HBins) -> ClassicalDensity:
-    """Renormalized constraint product; the unchecked step behind
-    ``multi_invariant_density``, for callers that have already checked the
-    fields and the width once.  Still raises DegenerateSupportError."""
-    raw, mass = _mollified_constraints(levels, fields, bins)
-    if mass < DEGENERATE_MASS_TOL:
-        raise DegenerateSupportError(
-            f"constraint product has raw mass {mass:.3e}; "
-            f"level values {list(levels)} have empty intersection",
-            raw_mass=mass,
+    def __init__(self, fields, policy: MollifierPolicy):
+        self.fields = list(fields)
+        if not self.fields:
+            raise ValueError("need at least one constraint field")
+        for f in self.fields[1:]:
+            if f.grid != self.fields[0].grid:
+                raise GridMismatchError("invariant fields live on different grids")
+        for f in self.fields:
+            res = _field_resolution(f)
+            if policy.epsilon <= res:
+                raise ValueError(
+                    f"mollifier width {policy.epsilon:.3e} does not resolve the "
+                    f"cell-induced energy resolution {res:.3e}; refine the grid "
+                    f"or widen epsilon"
+                )
+        self.epsilon = policy.epsilon
+        self.bins = _HBins(self.fields[0], policy.epsilon)
+
+    def weighted(self, levels, weight: float) -> np.ndarray:
+        """``weight`` times the unit-mass product prod_i exp(-(L_i - l_i)^2 /
+        2 eps^2), one level per field, as a fresh array.  Raises
+        DegenerateSupportError when the levels' intersection is empty (mass
+        below DEGENERATE_MASS_TOL)."""
+        if len(levels) != len(self.fields):
+            raise ValueError(
+                f"need one level per field, got {len(levels)} levels "
+                f"for {len(self.fields)} fields"
+            )
+        factors = (_mollifier(f, lv, self.epsilon) for lv, f in zip(levels, self.fields))
+        raw = next(factors)
+        for factor in factors:
+            raw *= factor
+        mass = self.bins.mass(raw)
+        if mass < DEGENERATE_MASS_TOL:
+            raise DegenerateSupportError(
+                f"constraint product has raw mass {mass:.3e}; "
+                f"level values {list(levels)} have empty intersection",
+                raw_mass=mass,
+            )
+        raw *= weight / mass
+        return raw
+
+    def density(self, values) -> ClassicalDensity:
+        """``values`` as a density against the first field."""
+        return ClassicalDensity(
+            PhaseField(self.fields[0].grid, values), self.epsilon, self.fields[0]
         )
-    return ClassicalDensity(
-        PhaseField(fields[0].grid, raw / mass), bins.epsilon, fields[0]
-    )
 
 
 def wigner_singular(obs_singular: SingularKernel, hfield: PhaseField) -> PhaseField:
@@ -252,17 +283,6 @@ def wigner_singular(obs_singular: SingularKernel, hfield: PhaseField) -> PhaseFi
     return PhaseField(hfield.grid, out)
 
 
-def _check_epsilon(policy: MollifierPolicy, fields) -> None:
-    for f in fields:
-        res = _field_resolution(f)
-        if policy.epsilon <= res:
-            raise ValueError(
-                f"mollifier width {policy.epsilon:.3e} does not resolve the "
-                f"cell-induced energy resolution {res:.3e}; refine the grid "
-                f"or widen epsilon"
-            )
-
-
 def shell_density(
     omega0: float, hfield: PhaseField, policy: MollifierPolicy
 ) -> ClassicalDensity:
@@ -274,11 +294,8 @@ def shell_density(
             f"shell energy {omega0} is unreachable on this window "
             f"(H spans [{h.min():.6g}, {h.max():.6g}])"
         )
-    _check_epsilon(policy, [hfield])
-    raw, mass = _mollified_constraints([omega0], [hfield], _HBins(hfield, policy.epsilon))
-    return ClassicalDensity(
-        PhaseField(hfield.grid, raw / mass), policy.epsilon, hfield
-    )
+    shell = ConstraintSet([hfield], policy)
+    return shell.density(shell.weighted([omega0], 1.0))
 
 
 def classical_state_density(
@@ -291,24 +308,19 @@ def classical_state_density(
     """
     if float(np.max(np.abs(rho_singular.values.imag))) > 1e-10:
         raise ValueError("state diagonal must be real to form a classical density")
-    _check_epsilon(policy, [hfield])
+    shells = ConstraintSet([hfield], policy)
     grid_w = rho_singular.grid.weights
     omegas = rho_singular.grid.points
     rho = rho_singular.values.real
     h = hfield.values
     lo_h, hi_h = float(h.min()), float(h.max())
-    bins = _HBins(hfield, policy.epsilon)
 
     out = np.zeros_like(h)
     for i in range(omegas.size):
         coeff = grid_w[i] * rho[i]
-        if coeff == 0.0 or not (lo_h <= omegas[i] <= hi_h):
-            continue
-        raw, mass = _mollified_constraints([omegas[i]], [hfield], bins)
-        raw *= coeff / mass
-        out += raw
-        del raw  # one shell alive at a time: the next one's Gaussian needs room
-    return ClassicalDensity(PhaseField(hfield.grid, out), policy.epsilon, hfield)
+        if coeff != 0.0 and lo_h <= omegas[i] <= hi_h:
+            out += shells.weighted([omegas[i]], coeff)
+    return shells.density(out)
 
 
 def classical_expectation(rho_field: ClassicalDensity, obs_field: PhaseField) -> float:
@@ -336,18 +348,9 @@ def multi_invariant_density(
         If the constraints have numerically empty intersection (raw binned
         mass below 1e-6), e.g. inconsistent level values.
     """
-    l_values = [float(v) for v in np.atleast_1d(l_values)]
-    if len(l_values) != len(L_fields) or not L_fields:
-        raise ValueError(
-            f"need matching nonempty lists, got {len(l_values)} values "
-            f"for {len(L_fields)} fields"
-        )
-    grid = L_fields[0].grid
-    for f in L_fields[1:]:
-        if f.grid != grid:
-            raise GridMismatchError("invariant fields live on different grids")
-    _check_epsilon(policy, L_fields)
-    return _constraint_density(l_values, L_fields, _HBins(L_fields[0], policy.epsilon))
+    constraints = ConstraintSet(L_fields, policy)
+    levels = [float(v) for v in np.atleast_1d(l_values)]
+    return constraints.density(constraints.weighted(levels, 1.0))
 
 
 def mass_within(

@@ -229,10 +229,10 @@ def test_criterion_9_trajectory_emergence():
     pgrid = vh.PhaseGrid((-2.5, 2.5), (-2.5, 2.5), 201, 201)
     pfield = momentum_field(pgrid)
     policy = vh.MollifierPolicy(0.08)
-    l_map = {(0, 0): (1.0,), (0, 1): (-1.0,)}
+    l_values = [[(1.0,), (-1.0,)]]
     a0 = -0.3
     ensemble, density = vh.trajectory_ensemble(
-        pointer, [pfield], policy, [a0], label_values=l_map
+        pointer, [pfield], policy, [a0], l_values=l_values
     )
 
     mass_plus = vh.mass_within(density, pfield, 1.0, 3 * policy.epsilon)
@@ -242,13 +242,13 @@ def test_criterion_9_trajectory_emergence():
 
     etas = np.linspace(0.0, 1.0, 21)
     slopes_ok, r2_ok, details = True, True, []
-    for key, l in l_map.items():
+    for l in l_values[0]:
         _, component = vh.trajectory_ensemble(
             [vh.diagonalize_shell(vh.ShellState(0.5, (0,), [[1.0]]))],
             [pfield],
             policy,
             [a0],
-            label_values={(0, 0): l},
+            l_values=[[l]],
         )
         ridge = vh.free_flight_ridge(component, etas)
         slope, intercept = np.polyfit(etas, ridge, 1)

@@ -420,6 +420,35 @@ class TestCosmoKind:
         assert "missing components: of the 3 energy shells, shell 1 has 2" in err
         assert list(out.iterdir()) == []
 
+    def test_several_invariants_require_l_values(self, tmp_path, capsys):
+        cfg = self.config()
+        cfg["trajectory"]["invariants"] = [{"type": "momentum"}, {"type": "coordinate"}]
+        del cfg["trajectory"]["l_values"]
+        out = tmp_path / "out"
+        rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "field 'trajectory': 'l_values' is a required property" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extend",
+        [
+            pytest.param(lambda lv: lv.append([[9.0]]), id="fourth-shell"),
+            pytest.param(lambda lv: lv[0].append([7.0]), id="second-label-in-shell-0"),
+        ],
+    )
+    def test_extra_l_values_refused(self, tmp_path, capsys, extend):
+        cfg = self.config()
+        extend(cfg["trajectory"]["l_values"])
+        out = tmp_path / "out"
+        rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "stage 'fock-basis'" in err
+        assert "l values extra components" in err
+        assert list(out.iterdir()) == []
+
     def test_random_state_requires_seed(self, tmp_path):
         cfg = self.config()
         cfg["state"] = {"type": "random", "coherence": 0.5}

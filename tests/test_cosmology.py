@@ -392,7 +392,7 @@ class TestTrajectoryEnsemble:
         pgrid, pfield, policy = self.phase_setup()
         pointer = [diagonalize_shell(ShellState(2.0, (0,), [[1.0]]))]
         ensemble, density = trajectory_ensemble(
-            pointer, [pfield], policy, [0.0], label_values={(0, 0): (2.0,)}
+            pointer, [pfield], policy, [0.0], l_values=[[(2.0,)]]
         )
         assert len(ensemble.entries) == 1
         assert ensemble.entries[0].probability == 1.0
@@ -405,9 +405,9 @@ class TestTrajectoryEnsemble:
         pgrid, pfield, policy = self.phase_setup()
         shell = ShellState(0.5, (0, 1), [[0.5, 0.2], [0.2, 0.5]])
         pointer = [diagonalize_shell(shell)]
-        values = {(0, 0): (1.0,), (0, 1): (-1.0,)}
+        values = [[(1.0,), (-1.0,)]]
         ensemble, density = trajectory_ensemble(
-            pointer, [pfield], policy, [-0.3], label_values=values
+            pointer, [pfield], policy, [-0.3], l_values=values
         )
         mass_plus = mass_within(density, pfield, 1.0, 3 * policy.epsilon)
         mass_minus = mass_within(density, pfield, -1.0, 3 * policy.epsilon)
@@ -430,7 +430,7 @@ class TestTrajectoryEnsemble:
                 [pfield],
                 policy,
                 [-0.3],
-                label_values={(0, 0): l},
+                l_values=[[l]],
             )
             ridge = free_flight_ridge(comp, etas)
             slope, intercept = np.polyfit(etas, ridge, 1)
@@ -442,9 +442,9 @@ class TestTrajectoryEnsemble:
 
         pgrid, pfield, policy = self.phase_setup()
         pointer = [diagonalize_shell(ShellState(0.5, (0, 1), [[0.5, 0.2], [0.2, 0.5]]))]
-        values = {(0, 0): (1.0,), (0, 1): (50.0,)}  # second level unreachable
+        values = [[(1.0,), (50.0,)]]  # second level unreachable
         ensemble, density = trajectory_ensemble(
-            pointer, [pfield], policy, [0.0], label_values=values
+            pointer, [pfield], policy, [0.0], l_values=values
         )
         flags = [e.degenerate for e in ensemble.entries]
         assert flags == [False, True]
@@ -460,12 +460,12 @@ class TestTrajectoryEnsemble:
         state = CosmoState(basis, np.eye(3, dtype=complex) / 3.0)
         pointer = diagonalize_remaining(state)
         pgrid, pfield, policy = self.phase_setup()
-        values = {(0, 0): (-0.8,), (1, 0): (0.4,), (2, 0): (1.3,)}
+        values = [[(-0.8,)], [(0.4,)], [(1.3,)]]
         etas = np.linspace(0.0, 0.8, 17)
         ensemble, _ = trajectory_ensemble(pointer, [pfield], policy, [0.0], values)
         assert [e.probability for e in ensemble.entries] == pytest.approx([1 / 3] * 3)
         qfield = coordinate_field(pgrid)
-        for l in values.values():
+        for [l] in values:
             component = multi_invariant_density(
                 [l[0], 0.0], [pfield, qfield], policy
             )
@@ -479,7 +479,7 @@ class TestTrajectoryEnsemble:
         pgrid, pfield, policy = self.phase_setup()
         pointer = [diagonalize_shell(ShellState(1.0, (0,), [[1.0]]))]
         ensemble, _ = trajectory_ensemble(
-            pointer, [pfield], policy, [-0.5, 0.5], label_values={(0, 0): (1.0,)}
+            pointer, [pfield], policy, [-0.5, 0.5], l_values=[[(1.0,)]]
         )
         assert [e.probability for e in ensemble.entries] == [0.5, 0.5]
         assert {e.a0 for e in ensemble.entries} == {-0.5, 0.5}
@@ -507,7 +507,7 @@ class TestTrajectoryEnsemble:
         state = mixed_degenerate_state()
         pointer = diagonalize_remaining(state)
         pgrid, pfield, policy = self.phase_setup(n=101)
-        values = {(0, 0): (0.3,), (1, 0): (1.0,), (1, 1): (-1.0,), (2, 0): (0.6,)}
+        values = [[(0.3,)], [(1.0,), (-1.0,)], [(0.6,)]]
         e1, d1 = trajectory_ensemble(pointer, [pfield], policy, [0.0], values, threads=1)
         e2, d2 = trajectory_ensemble(pointer, [pfield], policy, [0.0], values, threads=3)
         assert np.array_equal(d1.field.values, d2.field.values)
@@ -516,7 +516,7 @@ class TestTrajectoryEnsemble:
     @pytest.mark.parametrize("threads", [1, 3])
     def test_density_is_the_job_order_sum_of_public_components(self, threads):
         from vanhove import DegenerateSupportError, ShellState, pointer_state
-        from vanhove.wigner import coordinate_field
+        from vanhove.wigner import ConstraintSet, coordinate_field
 
         # shell 0 carries probability 0; the level of (2, 0) is unreachable
         pointer = pointer_state([
@@ -525,13 +525,13 @@ class TestTrajectoryEnsemble:
             ShellState(1.0, (0,), [[0.2]]),
         ])
         pgrid, pfield, policy = self.phase_setup(n=101)
-        values = {(0, 0): (0.3,), (1, 0): (1.0,), (1, 1): (-1.0,), (2, 0): (50.0,)}
+        values = [[(0.3,)], [(1.0,), (-1.0,)], [(50.0,)]]
         a0_points = [-0.3, 0.2]
         ensemble, density = trajectory_ensemble(
             pointer, [pfield], policy, a0_points, values, threads=threads
         )
         jobs = [
-            (values[(si, ei)], a0, max(float(eig), 0.0) / len(a0_points))
+            (values[si][ei], a0, max(float(eig), 0.0) / len(a0_points))
             for si, pb in enumerate(pointer)
             for ei, eig in enumerate(pb.eigenvalues)
             for a0 in a0_points
@@ -541,29 +541,26 @@ class TestTrajectoryEnsemble:
         assert sum(prob == 0.0 for _, _, prob in jobs) == len(a0_points)
         assert sum(e.degenerate for e in entries) == len(a0_points)
 
-        fields = [pfield, coordinate_field(pgrid)]
+        constraints = ConstraintSet([pfield, coordinate_field(pgrid)], policy)
         ref = np.zeros((pgrid.nq, pgrid.np))
         for (l_values, a0, prob), entry in zip(jobs, entries):
             levels = list(l_values) + [a0]
             if entry.degenerate:
                 with pytest.raises(DegenerateSupportError):
-                    multi_invariant_density(levels, fields, policy)
+                    constraints.weighted(levels, prob)
             elif prob > 0.0:
-                component = multi_invariant_density(levels, fields, policy)
-                ref += prob * component.field.values
+                ref += constraints.weighted(levels, prob)
         assert np.array_equal(density.field.values, ref)
 
     def test_unresolved_epsilon_refused_before_any_component(self, monkeypatch):
-        import vanhove.cosmology
+        from vanhove.wigner import ConstraintSet
 
         state = mixed_degenerate_state()
         pointer = diagonalize_remaining(state)
         pgrid, pfield, _ = self.phase_setup(n=101)
-        values = {(0, 0): (0.3,), (1, 0): (1.0,), (1, 1): (-1.0,), (2, 0): (0.6,)}
+        values = [[(0.3,)], [(1.0,), (-1.0,)], [(0.6,)]]
         built = []
-        monkeypatch.setattr(
-            vanhove.cosmology, "_constraint_density", lambda *args: built.append(args)
-        )
+        monkeypatch.setattr(ConstraintSet, "weighted", lambda *args: built.append(args))
         with pytest.raises(ValueError, match="widen epsilon"):
             trajectory_ensemble(
                 pointer, [pfield], MollifierPolicy(0.5 * pgrid.dp), [0.0], values
@@ -573,7 +570,7 @@ class TestTrajectoryEnsemble:
     def test_missing_components_named(self):
         pointer = diagonalize_remaining(mixed_degenerate_state())
         _, pfield, policy = self.phase_setup(n=101)
-        values = {(0, 0): (0.3,), (1, 1): (-1.0,)}
+        values = [[(0.3,)], [(-1.0,)]]
         named = "of the 3 energy shells, shell 1 has 2 pointer labels and l values for 1"
         with pytest.raises(ValueError, match=named):
             trajectory_ensemble(pointer, [pfield], policy, [0.0], values)
@@ -582,7 +579,7 @@ class TestTrajectoryEnsemble:
         state = mixed_degenerate_state()
         pointer = diagonalize_remaining(state)
         pgrid, pfield, policy = self.phase_setup()
-        values = {(0, 0): (0.3,), (1, 0): (1.0,), (1, 1): (-1.0,), (2, 0): (0.6,)}
+        values = [[(0.3,)], [(1.0,), (-1.0,)], [(0.6,)]]
         ensemble, density = trajectory_ensemble(pointer, [pfield], policy, [0.0], values)
         probs = sorted(e.probability for e in ensemble.entries)
         assert probs == pytest.approx([0.05, 0.05, 0.27, 0.63])

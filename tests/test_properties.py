@@ -1,5 +1,5 @@
-"""Property tests of the dephasing, grid, Fock-basis, energy-shell and
-pointer-basis invariants over random inputs.
+"""Property tests of the dephasing, grid, Fock-basis, energy-shell,
+pointer-basis and classical-spectral invariants over random inputs.
 
 Grids are uniform or Clenshaw-Curtis with n <= 64; kernels are random
 complex and non-Hermitian (``self_adjoint=False``), so no symmetry of the
@@ -14,11 +14,15 @@ from hypothesis import example, given, settings, strategies as st
 from vanhove import (
     CosmoState,
     ModeSet,
+    MollifierPolicy,
     Observable,
+    PhaseGrid,
     RegularKernel,
     ShellState,
     SingularKernel,
     StateFunctional,
+    classical_expectation,
+    classical_state_density,
     cosmo_weak_limit,
     decay_profile,
     enumerate_fock,
@@ -34,11 +38,13 @@ from vanhove import (
     sqrt_prime_modes,
     state_from_descriptors,
     weak_limit,
+    wigner_singular,
 )
 from vanhove.evolution import _TIME_BLOCK
 from vanhove.kernels import grid_size_for_spacing
 from vanhove.oracles import dense_pair_oracle
 from vanhove.pointer import TIE_TOL
+from vanhove.wigner import harmonic_field
 
 TOL = 1e-12
 
@@ -269,3 +275,34 @@ def test_pointer_basis_reconstructs_and_is_unitary(shells):
             # may swap order by an ulp when the column is rotated
             peak = float(np.max(np.abs(column)))
             assert np.any((column.imag == 0.0) & (column.real >= (1.0 - TOL) * peak))
+
+
+# one energy grid and harmonic phase window for every classical-spectral draw
+SPECTRAL_GRID = make_grid(3.0, 128)
+HARMONIC = harmonic_field(PhaseGrid((-2.8, 2.8), (-2.8, 2.8), 151, 151))
+MOLLIFIER = MollifierPolicy(0.12)
+
+
+@settings(max_examples=40)
+@given(
+    state_mu=st.floats(0.8, 1.8),
+    state_sigma=st.floats(0.2, 0.5),
+    obs_mu=st.floats(0.5, 2.0),
+    obs_sigma=st.floats(0.3, 0.8),
+)
+def test_classical_expectation_matches_spectral_pairing(
+    state_mu, state_sigma, obs_mu, obs_sigma
+):
+    state = state_from_descriptors(
+        SPECTRAL_GRID, {"type": "gaussian", "mu": state_mu, "sigma": state_sigma}
+    )
+    obs = observable_from_descriptors(
+        SPECTRAL_GRID, {"type": "gaussian", "mu": obs_mu, "sigma": obs_sigma}
+    )
+    density = classical_state_density(state.singular, HARMONIC, MOLLIFIER)
+    classical = classical_expectation(density, wigner_singular(obs.singular, HARMONIC))
+    quantum = pair(weak_limit(state), obs).real
+    slopes = np.diff(obs.singular.values.real) / np.diff(SPECTRAL_GRID.points)
+    # the bound of acceptance criterion 7: mollifying shifts O(H) by ~ eps Lip(O)
+    assert abs(classical - quantum) <= 1e-6 + 3.0 * MOLLIFIER.epsilon * np.max(np.abs(slopes))
+    assert abs(density.h_mass() - 1.0) <= 1e-6

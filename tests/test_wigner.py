@@ -27,6 +27,7 @@ from vanhove import (
     write_phase_field,
 )
 from vanhove.wigner import (
+    ConstraintSet,
     coordinate_field,
     harmonic_field,
     kinetic_field,
@@ -289,9 +290,12 @@ class TestMultiInvariantDensity:
         assert err.value.raw_mass < 1e-6
 
     def test_length_mismatch(self):
-        pgrid = square_grid(1.4, 41)
-        with pytest.raises(ValueError):
-            multi_invariant_density([1.0, 2.0], [harmonic_field(pgrid)], MollifierPolicy(0.1))
+        # epsilon resolves the grid, so the level count is what is refused
+        hfield, policy = harmonic_field(square_grid(1.4, 41)), MollifierPolicy(0.3)
+        with pytest.raises(ValueError, match="one level per field"):
+            multi_invariant_density([1.0, 2.0], [hfield], policy)
+        with pytest.raises(ValueError, match="one level per field"):
+            ConstraintSet([hfield], policy).weighted([1.0, 2.0], 1.0)
 
     def test_mixed_grids_rejected(self):
         with pytest.raises(GridMismatchError):

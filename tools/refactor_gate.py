@@ -1,0 +1,73 @@
+"""Refactor gate: artifact sha256s of the four benchmark workloads (seed 1),
+cosmology again at two threads, a validate config and both oracle targets,
+each run through ``vanhove.cli.main`` in a temporary directory.
+
+Usage: python3 tools/refactor_gate.py [--against EARLIER_OUTPUT.json]
+
+Prints {config: {artifact: sha256}}; with --against it exits 1 and lists
+each changed artifact.  The sha256s depend on the numpy/BLAS build.
+"""
+import argparse
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from vanhove.cli import main as vanhove_main  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+RUNS = {
+    **{name: (w.make_config(1, False), 1) for name, w in WORKLOADS.items()},
+    "cosmology-threads-2": (WORKLOADS["cosmology"].make_config(1, False), 2),
+    "validate": ({"kind": "validate", "grid": {"omega_max": 10.0, "n": 32},
+                  "state": {"singular": {"type": "gaussian", "mu": 5.0, "sigma": 1.0,
+                                         "amplitude": 2.0}, "normalize": False}}, 1),
+    "oracle-pair": ({"kind": "oracle", "target": "pair", "n": 16, "trials": 5, "seed": 3}, 1),
+    "oracle-cosmo-expectation": ({
+        "kind": "oracle", "target": "cosmo-expectation", "n_max": 5, "trials": 5,
+        "t_max": 5.0, "seed": 3, "modes": {"k_values": [1.0], "m": 0.0, "a_out": 5.0},
+    }, 1),
+}
+
+
+def gate(workdir: Path) -> dict:
+    digests = {}
+    for name, (config, threads) in RUNS.items():
+        path, out = workdir / f"{name}.json", workdir / name
+        path.write_text(json.dumps(config))
+        argv = [config["kind"], "--config", str(path), "--out", str(out), "--threads", str(threads)]
+        # the validate config fails its normalization check on purpose
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            vanhove_main(argv)
+        manifest = json.loads((out / "manifest.json").read_text())
+        digests[name] = {a["path"]: a["sha256"] for a in manifest["artifacts"]}
+    return digests
+
+
+def _flat(digests: dict) -> dict:
+    return {f"{name}/{a}": sha for name, shas in digests.items() for a, sha in shas.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", type=Path, help="earlier output to compare with")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = gate(Path(tmp))
+    print(json.dumps(digests, indent=1, sort_keys=True))
+    if args.against is None:
+        return 0
+    before, after = _flat(json.loads(args.against.read_text())), _flat(digests)
+    changed = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
+    for item in changed:
+        print(f"changed: {item}", file=sys.stderr)
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
