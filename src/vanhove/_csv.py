@@ -1,7 +1,9 @@
 """CSV artifacts and input tables: a header line, then LF-terminated rows.
 
 Floats are written as ``%.16e`` (17 significant digits, so every float64
-reads back to the same value), integers as ``%d`` and strings as ``%s``.
+reads back to the same value), integers as ``%d`` and strings and objects
+as ``%s``.  A column of repeated values (the axes of a phase-field dump)
+can be formatted once and passed as an object array of shared strings.
 """
 from __future__ import annotations
 
@@ -16,11 +18,13 @@ from .errors import ConfigError
 # large phase-field dump as one string holds all of its text at once and
 # raises the peak RSS of the run.
 _BLOCK_ROWS = 1024
-_FORMATS = {"f": "%.16e", "i": "%d", "u": "%d", "U": "%s"}
+FLOAT_FORMAT = "%.16e"
+_FORMATS = {"f": FLOAT_FORMAT, "i": "%d", "u": "%d", "U": "%s", "O": "%s"}
 
 
 def write_csv(path, header: list[str], columns) -> None:
-    """Write equal-length 1-d columns (float, int or str) under ``header``."""
+    """Write equal-length 1-d columns (float, int, str or object) under
+    ``header``; object cells are written with ``%s``."""
     columns = [np.asarray(col) for col in columns]
     rows = columns[0].shape[0]
     if len(columns) != len(header) or any(c.shape != (rows,) for c in columns):

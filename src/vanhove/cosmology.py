@@ -617,13 +617,17 @@ def trajectory_ensemble(
         return TrajectoryEntry(lv, a0, prob), contribution
 
     # Contributions are added as they arrive, in job order, so the sum and
-    # its bytes do not depend on the thread count and finished components
-    # are not all held at once.
+    # its bytes do not depend on the thread count.  Jobs go to the pool a
+    # few per worker at a time: one map over every job would keep each
+    # finished component until the sum reached it.
     acc = np.zeros_like(qfield.values)
     entries = []
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        for entry, contribution in pool.map(build, jobs):
-            entries.append(entry)
-            if contribution is not None:
-                acc += contribution
+    workers = max(threads, 1)
+    batch = 4 * workers
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, len(jobs), batch):
+            for entry, contribution in pool.map(build, jobs[start : start + batch]):
+                entries.append(entry)
+                if contribution is not None:
+                    acc += contribution
     return TrajectoryEnsemble(tuple(entries)), constraints.density(acc)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import write_csv
+from ._csv import FLOAT_FORMAT, write_csv
 from .errors import DegenerateSupportError, DomainMismatchError, GridMismatchError
 from .kernels import SingularKernel
 
@@ -198,14 +198,10 @@ class _HBins:
         return float(self.means(values).sum() * self.width)
 
 
-def _mollifier(field: PhaseField, level: float, epsilon: float) -> np.ndarray:
-    """exp(-(L - l)^2 / 2 eps^2), formed in place in one phase-grid array:
-    per-cell temporaries of every step would churn the allocator."""
-    out = field.values - level
-    np.square(out, out=out)
-    np.negative(out, out=out)
-    out /= 2.0 * epsilon**2
-    return np.exp(out, out=out)
+def _mollifier(distinct: np.ndarray, level: float, epsilon: float) -> np.ndarray:
+    """exp(-(L - l)^2 / 2 eps^2) at each of a field's distinct values L: one
+    exp per distinct value, not per cell."""
+    return np.exp(-((distinct - level) ** 2) / (2.0 * epsilon**2))
 
 
 class ConstraintSet:
@@ -213,7 +209,9 @@ class ConstraintSet:
 
     The fields are checked once: there is at least one, they share a grid,
     and epsilon resolves each.  Cells are binned by the first field, which
-    plays the Hamiltonian's role in the H-binned prescription."""
+    plays the Hamiltonian's role in the H-binned prescription.  Each field
+    keeps its distinct values and the cells' indices into them, so a
+    mollifier costs one exp per distinct value plus one gather per cell."""
 
     def __init__(self, fields, policy: MollifierPolicy):
         self.fields = list(fields)
@@ -232,6 +230,8 @@ class ConstraintSet:
                 )
         self.epsilon = policy.epsilon
         self.bins = _HBins(self.fields[0], policy.epsilon)
+        # raveled first: the shape of unique's inverse differs between numpy versions
+        self.distinct = [np.unique(f.values.ravel(), return_inverse=True) for f in self.fields]
 
     def weighted(self, levels, weight: float) -> np.ndarray:
         """``weight`` times the unit-mass product prod_i exp(-(L_i - l_i)^2 /
@@ -243,7 +243,11 @@ class ConstraintSet:
                 f"need one level per field, got {len(levels)} levels "
                 f"for {len(self.fields)} fields"
             )
-        factors = (_mollifier(f, lv, self.epsilon) for lv, f in zip(levels, self.fields))
+        shape = self.fields[0].values.shape
+        factors = (
+            np.take(_mollifier(values, lv, self.epsilon), inverse).reshape(shape)
+            for lv, (values, inverse) in zip(levels, self.distinct)
+        )
         raw = next(factors)
         for factor in factors:
             raw *= factor
@@ -460,7 +464,12 @@ def read_phase_field(path) -> PhaseField:
 
 
 def phase_field_to_csv(field: PhaseField, path) -> None:
-    """Rows q,p,value with 17 significant digits, q-major order."""
+    """Rows q,p,value with 17 significant digits, q-major order.
+
+    Each axis value is formatted once; the q and p columns are object
+    arrays whose cells share those strings."""
     grid = field.grid
-    q, p = np.repeat(grid.q, grid.np), np.tile(grid.p, grid.nq)
-    write_csv(path, ["q", "p", "value"], [q, p, field.values.ravel()])
+    q, p = (np.array([FLOAT_FORMAT % v for v in axis.tolist()], dtype=object)
+            for axis in (grid.q, grid.p))
+    columns = [np.repeat(q, grid.np), np.tile(p, grid.nq), field.values.ravel()]
+    write_csv(path, ["q", "p", "value"], columns)

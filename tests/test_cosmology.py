@@ -513,6 +513,46 @@ class TestTrajectoryEnsemble:
         assert np.array_equal(d1.field.values, d2.field.values)
         assert e1.entries == e2.entries
 
+    def test_finished_components_are_not_all_held(self, monkeypatch):
+        import threading
+        import weakref
+
+        from vanhove.wigner import ConstraintSet
+
+        pointer = diagonalize_remaining(mixed_degenerate_state())
+        _, pfield, policy = self.phase_setup(n=101)
+        values = [[(0.3,)], [(1.0,), (-1.0,)], [(0.6,)]]
+        threads, a0_points = 2, [float(a) for a in np.linspace(-1.0, 1.0, 16)]
+        weighted, lock, crowd = ConstraintSet.weighted, threading.Lock(), threading.Event()
+        held, peak = [0], [0]
+
+        def release():
+            with lock:
+                held[0] -= 1
+
+        def tracked(self, levels, weight):
+            # the first job waits until a crowd of later components has
+            # finished, or 0.2 s; each finished one is held until the
+            # job-order sum reaches it
+            if list(levels) == [0.3, a0_points[0]]:
+                crowd.wait(timeout=0.2)
+            out = weighted(self, levels, weight)
+            with lock:
+                held[0] += 1
+                peak[0] = max(peak[0], held[0])
+                if held[0] >= 12:
+                    crowd.set()
+            weakref.finalize(out, release)
+            return out
+
+        monkeypatch.setattr(ConstraintSet, "weighted", tracked)
+        ensemble, _ = trajectory_ensemble(
+            pointer, [pfield], policy, a0_points, values, threads=threads
+        )
+        assert len(ensemble.entries) == 4 * len(a0_points)
+        # a batch of 4 jobs per worker, plus the component the sum holds last
+        assert peak[0] <= 4 * threads + 1
+
     @pytest.mark.parametrize("threads", [1, 3])
     def test_density_is_the_job_order_sum_of_public_components(self, threads):
         from vanhove import DegenerateSupportError, ShellState, pointer_state

@@ -35,6 +35,23 @@ def test_write_csv_matches_per_row_format(tmp_path_factory, rows, floats, ints, 
     assert path.read_bytes() == expected.encode()
 
 
+@given(
+    floats=st.lists(finite, min_size=1, max_size=32),
+    strs=st.lists(st.text("0123456789.e+-;", max_size=40), min_size=1, max_size=8),
+)
+def test_object_str_column_matches_per_row_format(tmp_path_factory, floats, strs):
+    # few distinct strings over many rows, each cell a reference to one of them
+    rows = 3 * _BLOCK_ROWS // 2
+    floats = np.resize(np.array(floats), rows)
+    ints = np.arange(rows, dtype=np.int64)
+    shared = np.resize(np.array(strs, dtype=object), rows)
+    header = ["x", "label", "cell"]
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    write_csv(path, header, [floats, ints, shared])
+    expected = per_row_reference(header, floats.tolist(), ints.tolist(), shared.tolist())
+    assert path.read_bytes() == expected.encode()
+
+
 @given(values=st.lists(finite, min_size=1, max_size=64))
 def test_float_columns_read_back_bit_exact(tmp_path_factory, values):
     values = SPECIAL + values

@@ -1,5 +1,6 @@
 """Property tests of the dephasing, grid, Fock-basis, energy-shell,
-pointer-basis and classical-spectral invariants over random inputs.
+cosmological weak-limit, pointer-basis, classical-spectral and mollifier
+invariants over random inputs.
 
 Grids are uniform or Clenshaw-Curtis with n <= 64; kernels are random
 complex and non-Hermitian (``self_adjoint=False``), so no symmetry of the
@@ -13,9 +14,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from vanhove import (
     CosmoState,
+    DegenerateSupportError,
     ModeSet,
     MollifierPolicy,
     Observable,
+    PhaseField,
     PhaseGrid,
     RegularKernel,
     ShellState,
@@ -23,6 +26,7 @@ from vanhove import (
     StateFunctional,
     classical_expectation,
     classical_state_density,
+    cosmo_expectation,
     cosmo_weak_limit,
     decay_profile,
     enumerate_fock,
@@ -34,6 +38,7 @@ from vanhove import (
     observable_from_descriptors,
     pair,
     pointer_state,
+    random_cosmo_state,
     recurrence_time,
     sqrt_prime_modes,
     state_from_descriptors,
@@ -44,7 +49,12 @@ from vanhove.evolution import _TIME_BLOCK
 from vanhove.kernels import grid_size_for_spacing
 from vanhove.oracles import dense_pair_oracle
 from vanhove.pointer import TIE_TOL
-from vanhove.wigner import harmonic_field
+from vanhove.wigner import (
+    DEGENERATE_MASS_TOL,
+    ConstraintSet,
+    _field_resolution,
+    harmonic_field,
+)
 
 TOL = 1e-12
 
@@ -243,6 +253,38 @@ def test_shell_slices_block_the_weak_limit(box, eps_shell, seed):
     assert state.cross_block_magnitude() == removed.max(initial=0.0)
 
 
+def spread_shell_box():
+    """27 vectors whose 0.3-wide shells hold up to 7 distinct energies."""
+    return ModeSet(sqrt_prime_modes(3, 1.0), m=0.5, a_out=5.0), 2, None
+
+
+@settings(max_examples=60)
+@given(
+    box=fock_boxes(),
+    eps_shell=st.one_of(st.just(1e-9), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(0.5, 1e3),
+)
+@example(box=spread_shell_box(), eps_shell=0.3, seed=7, t=100.0)
+def test_commuting_observable_sees_the_weak_limit(box, eps_shell, seed, t):
+    # an observable block-diagonal on the energy shells commutes with H, so
+    # its expectation never moves from its weak-limit value; phases use each
+    # shell's one energy, so this holds for shells of distinct energies too
+    mode_set, n_max, cut = box
+    basis = enumerate_fock(mode_set, n_max, cut)
+    rng = np.random.default_rng(seed)
+    state = random_cosmo_state(basis, rng, eps_shell=eps_shell)
+    obs = np.zeros((basis.size, basis.size), dtype=complex)
+    norm = 0.0
+    for _, s in basis.shells(eps_shell):
+        k = s.stop - s.start
+        raw = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        obs[s, s] = raw + raw.conj().T
+        norm = max(norm, float(np.linalg.norm(obs[s, s], 2)))
+    limit = cosmo_expectation(cosmo_weak_limit(state), obs, 0.0)
+    assert abs(cosmo_expectation(state, obs, t) - limit) <= 1e-12 * norm
+
+
 @st.composite
 def psd_shells(draw):
     """Random PSD Hermitian shell blocks of size 1-8 with distinct energies;
@@ -306,3 +348,44 @@ def test_classical_expectation_matches_spectral_pairing(
     # the bound of acceptance criterion 7: mollifying shifts O(H) by ~ eps Lip(O)
     assert abs(classical - quantum) <= 1e-6 + 3.0 * MOLLIFIER.epsilon * np.max(np.abs(slopes))
     assert abs(density.h_mass() - 1.0) <= 1e-6
+
+
+@st.composite
+def staircase_fields(draw):
+    """1-3 quantized quadratic fields on a grid with nq != np, so each field
+    takes few distinct values, each on many cells; a width epsilon that
+    resolves every field; one level per field near a common cell."""
+    nq = draw(st.integers(3, 24))
+    np_ = nq + draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        nq, np_ = np_, nq
+    grid = PhaseGrid((-1.0, 1.5), (-2.0, 0.5), nq, np_)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    qm, pm = grid.meshes()
+    fields = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = rng.uniform(-1.0, 1.0, 4)
+        smooth = c[0] * qm + c[1] * pm + c[2] * qm**2 + c[3] * pm**2
+        step = rng.uniform(0.05, 0.5) * (np.ptp(smooth) + 1e-3)
+        fields.append(PhaseField(grid, np.floor(smooth / step) * step))
+    res = max(_field_resolution(f) for f in fields)
+    eps = max(draw(st.floats(0.02, 2.0)), 1.5 * res)
+    i, j = rng.integers(nq), rng.integers(np_)
+    levels = [float(f.values[i, j] + rng.normal(0.0, 0.5 * eps)) for f in fields]
+    return fields, eps, levels
+
+
+@given(problem=staircase_fields(), weight=st.floats(0.1, 10.0))
+def test_distinct_value_mollifier_is_the_per_cell_product(problem, weight):
+    fields, eps, levels = problem
+    constraints = ConstraintSet(fields, MollifierPolicy(eps))
+    factors = [np.exp(-((f.values - lv) ** 2) / (2.0 * eps**2)) for f, lv in zip(fields, levels)]
+    reference = factors[0]
+    for factor in factors[1:]:
+        reference = reference * factor
+    mass = constraints.bins.mass(reference)
+    if mass < DEGENERATE_MASS_TOL:
+        with pytest.raises(DegenerateSupportError):
+            constraints.weighted(levels, weight)
+    else:
+        assert np.array_equal(constraints.weighted(levels, weight), reference * (weight / mass))

@@ -26,6 +26,7 @@ from vanhove import (
     wigner_singular,
     write_phase_field,
 )
+from vanhove._csv import read_csv, write_csv
 from vanhove.wigner import (
     ConstraintSet,
     coordinate_field,
@@ -416,3 +417,16 @@ class TestIO:
         assert lines[0] == b"q,p,value"
         assert len(lines) == 6
         assert b"\r" not in path.read_bytes()
+
+    def test_csv_on_non_square_grid_matches_float_columns(self, tmp_path):
+        # nq != np, so swapped repeat and tile axes change the bytes
+        pgrid = PhaseGrid((-1.3, 0.7), (0.1, 2.9), 7, 11)
+        values = np.random.default_rng(5).standard_normal((7, 11))
+        q, p = np.repeat(pgrid.q, pgrid.np), np.tile(pgrid.p, pgrid.nq)
+        header = ["q", "p", "value"]
+        path, reference = tmp_path / "field.csv", tmp_path / "reference.csv"
+        phase_field_to_csv(PhaseField(pgrid, values), path)
+        write_csv(reference, header, [q, p, values.ravel()])
+        assert path.read_bytes() == reference.read_bytes()
+        rows = np.array(read_csv(path, header))
+        assert rows.tobytes() == np.column_stack([q, p, values.ravel()]).tobytes()
