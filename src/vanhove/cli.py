@@ -31,7 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker threads (default: VANHOVE_THREADS or 1)",
+            help="accepted and recorded in the manifest; no computation depends "
+            "on it (default: VANHOVE_THREADS or 1)",
         )
         p.add_argument(
             "--seed", type=int, default=None, help="overrides the config seed"

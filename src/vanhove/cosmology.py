@@ -15,7 +15,8 @@ resolve into an ensemble of weighted linear trajectories.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+# nothing here runs a pool; perfbench/spans.py patches this name when it traces
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +24,13 @@ from scipy.integrate import solve_ivp
 
 from ._csv import write_csv
 from .errors import (
-    DegenerateSupportError,
     IncompatibleBasisError,
     InvalidPotentialError,
     NotEquilibratedError,
 )
 from .pointer import PointerBasis, ShellState, pointer_state
 from .wigner import (
+    DEGENERATE_MASS_TOL,
     ClassicalDensity,
     ConstraintSet,
     MollifierPolicy,
@@ -559,7 +560,6 @@ def trajectory_ensemble(
     policy: MollifierPolicy,
     a0_points,
     l_values=None,
-    threads: int = 1,
 ) -> tuple[TrajectoryEnsemble, ClassicalDensity]:
     """Resolve pointer spectra into weighted, mollified trajectory densities.
 
@@ -605,29 +605,8 @@ def trajectory_ensemble(
         for eig, lv in zip(pb.eigenvalues, shell)
         for a0 in a0_points
     ]
-
-    def build(job):
-        lv, a0, prob = job
-        if prob == 0.0:
-            return TrajectoryEntry(lv, a0, prob), None
-        try:
-            contribution = constraints.weighted([*lv, a0], prob)
-        except DegenerateSupportError:
-            return TrajectoryEntry(lv, a0, prob, degenerate=True), None
-        return TrajectoryEntry(lv, a0, prob), contribution
-
-    # Contributions are added as they arrive, in job order, so the sum and
-    # its bytes do not depend on the thread count.  Jobs go to the pool a
-    # few per worker at a time: one map over every job would keep each
-    # finished component until the sum reached it.
-    acc = np.zeros_like(qfield.values)
-    entries = []
-    workers = max(threads, 1)
-    batch = 4 * workers
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, len(jobs), batch):
-            for entry, contribution in pool.map(build, jobs[start : start + batch]):
-                entries.append(entry)
-                if contribution is not None:
-                    acc += contribution
-    return TrajectoryEnsemble(tuple(entries)), constraints.density(acc)
+    probabilities = np.array([prob for _, _, prob in jobs])
+    values, masses = constraints.summed([[*lv, a0] for lv, a0, _ in jobs], probabilities)
+    degenerate = (probabilities > 0.0) & (masses < DEGENERATE_MASS_TOL)
+    entries = [TrajectoryEntry(*job, bool(flag)) for job, flag in zip(jobs, degenerate)]
+    return TrajectoryEnsemble(entries), constraints.density(values)

@@ -147,7 +147,8 @@ def run_experiment(
     config: dict, out_dir, threads: int = 1, seed: int | None = None
 ) -> RunResult:
     """Execute one experiment config; returns the manifest and any failed
-    declared checks.  The output directory is the only write target."""
+    declared checks.  The output directory is the only write target.
+    ``threads`` is only recorded in the manifest: no computation depends on it."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     run = _Run(out_dir=out_dir)
@@ -162,7 +163,7 @@ def run_experiment(
         "validate": _run_validate,
         "oracle": _run_oracle,
     }[kind]
-    runner(config, run, threads, seed)
+    runner(config, run, seed)
 
     manifest = {
         "kind": kind,
@@ -217,7 +218,7 @@ def _build_dephasing(config):
     return grid, state, obs, times
 
 
-def _run_evolve(config, run: _Run, threads: int, seed) -> None:
+def _run_evolve(config, run: _Run, seed) -> None:
     with run.stage("build"):
         grid, state, obs, times = _build_dephasing(config)
     with run.stage("decay-profile"):
@@ -257,7 +258,7 @@ def _run_evolve(config, run: _Run, threads: int, seed) -> None:
         _write_json(run, "summary.json", summary)
 
 
-def _run_weak_limit(config, run: _Run, threads: int, seed) -> None:
+def _run_weak_limit(config, run: _Run, seed) -> None:
     with run.stage("build"):
         grid, state, obs, times = _build_dephasing(config)
     with run.stage("weak-limit"):
@@ -286,7 +287,7 @@ def _run_weak_limit(config, run: _Run, threads: int, seed) -> None:
             )
 
 
-def _run_wigner(config, run: _Run, threads: int, seed) -> None:
+def _run_wigner(config, run: _Run, seed) -> None:
     with run.stage("build"):
         grid = make_grid(**config["grid"])
         state = state_from_descriptors(grid, **config["state"])
@@ -358,7 +359,7 @@ def _cosmo_state_from(cfg: dict, basis, eps_shell: float, rng) -> cosmo.CosmoSta
     return cosmo.CosmoState(basis, re + 1j * im, eps_shell)
 
 
-def _run_cosmo(config, run: _Run, threads: int, seed) -> None:
+def _run_cosmo(config, run: _Run, seed) -> None:
     # the model is checked and built before the first artifact is written,
     # so a config refused for it leaves the output directory empty
     with run.stage("inputs"):
@@ -409,7 +410,6 @@ def _run_cosmo(config, run: _Run, threads: int, seed) -> None:
                 policy,
                 tcfg["a0_points"],
                 l_values=tcfg.get("l_values"),
-                threads=threads,
             )
             run.record("ensemble.csv", ensemble.to_csv)
             run.record("density.wpf", lambda p: write_phase_field(density.field, p))
@@ -436,7 +436,7 @@ def _run_cosmo(config, run: _Run, threads: int, seed) -> None:
         _write_json(run, "summary.json", summary)
 
 
-def _run_validate(config, run: _Run, threads: int, seed) -> None:
+def _run_validate(config, run: _Run, seed) -> None:
     with run.stage("validate"):
         grid = make_grid(**config["grid"])
         state = state_from_descriptors(grid, **config["state"])
@@ -454,7 +454,7 @@ def _random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     return 0.5 * (raw + raw.conj().T)
 
 
-def _run_oracle(config, run: _Run, threads: int, seed) -> None:
+def _run_oracle(config, run: _Run, seed) -> None:
     target = config["target"]
     trials = config.get("trials", 100)
     tolerance = config.get("tolerance", 1e-10)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -180,13 +181,17 @@ class _HBins:
 
     def __init__(self, hfield: PhaseField, epsilon: float):
         h = hfield.values
-        lo = float(h.min())
+        self.lo = float(h.min())
         hi = float(h.max())
         self.epsilon = float(epsilon)
         self.width = 0.5 * self.epsilon
-        nbins = max(1, int(np.ceil((hi - lo) / self.width))) if hi > lo else 1
-        self.index = np.clip(((h - lo) / self.width).astype(np.int64).ravel(), 0, nbins - 1)
-        self.counts = np.bincount(self.index, minlength=nbins)
+        self.nbins = max(1, int(np.ceil((hi - self.lo) / self.width))) if hi > self.lo else 1
+        self.index = self.of(h.ravel())
+        self.counts = np.bincount(self.index, minlength=self.nbins)
+
+    def of(self, h: np.ndarray) -> np.ndarray:
+        """Bin of each value ``h`` of the H field."""
+        return np.clip(((h - self.lo) / self.width).astype(np.int64), 0, self.nbins - 1)
 
     def means(self, values: np.ndarray) -> np.ndarray:
         """Per-bin average of ``values``; empty bins read 0."""
@@ -198,20 +203,28 @@ class _HBins:
         return float(self.means(values).sum() * self.width)
 
 
-def _mollifier(distinct: np.ndarray, level: float, epsilon: float) -> np.ndarray:
-    """exp(-(L - l)^2 / 2 eps^2) at each of a field's distinct values L: one
-    exp per distinct value, not per cell."""
-    return np.exp(-((distinct - level) ** 2) / (2.0 * epsilon**2))
+def _mollifier(distinct: np.ndarray, levels, epsilon: float) -> np.ndarray:
+    """exp(-(L - l)^2 / 2 eps^2) at each of a field's distinct values L, one
+    row per level l: one exp per distinct value and level, not per cell."""
+    out = distinct - np.expand_dims(levels, -1)
+    out *= out
+    out /= -2.0 * epsilon**2
+    return np.exp(out, out=out)
 
 
 class ConstraintSet:
-    """Gaussian mollifiers of fixed fields at one width, and their products.
+    """Gaussian mollifiers of fixed fields at one width, and weighted sums of
+    their products.
 
     The fields are checked once: there is at least one, they share a grid,
     and epsilon resolves each.  Cells are binned by the first field, which
-    plays the Hamiltonian's role in the H-binned prescription.  Each field
-    keeps its distinct values and the cells' indices into them, so a
-    mollifier costs one exp per distinct value plus one gather per cell."""
+    plays the Hamiltonian's role in the H-binned prescription.  With two or
+    more fields the last is the column group and the others the row group;
+    one field is the row group alone.  Each cell is keyed by the joint
+    distinct values of each group, its row and column, so a product of
+    mollifiers is A[row] B[col] with one exp per distinct value.  This
+    set-up (``np.unique`` per field and per further row field) is paid once
+    per set, also for a single level tuple as in ``shell_density``."""
 
     def __init__(self, fields, policy: MollifierPolicy):
         self.fields = list(fields)
@@ -232,40 +245,87 @@ class ConstraintSet:
         self.bins = _HBins(self.fields[0], policy.epsilon)
         # raveled first: the shape of unique's inverse differs between numpy versions
         self.distinct = [np.unique(f.values.ravel(), return_inverse=True) for f in self.fields]
+        split = max(1, len(self.fields) - 1)
+        self._rows, self._columns = self.distinct[:split], self.distinct[split:]
 
-    def weighted(self, levels, weight: float) -> np.ndarray:
-        """``weight`` times the unit-mass product prod_i exp(-(L_i - l_i)^2 /
-        2 eps^2), one level per field, as a fresh array.  Raises
-        DegenerateSupportError when the levels' intersection is empty (mass
-        below DEGENERATE_MASS_TOL)."""
-        if len(levels) != len(self.fields):
+        # joint distinct values of the row group, one field at a time: each
+        # row's index into every row field's distinct values, and each cell's row
+        values, row = self._rows[0]
+        index = [np.arange(values.size)]
+        for values, inverse in self._rows[1:]:
+            keys, row = np.unique(row * values.size + inverse, return_inverse=True)
+            index = [i[keys // values.size] for i in index] + [keys % values.size]
+        # a single row field needs no gather: its rows are its distinct values
+        self._row_index = index if len(index) > 1 else [slice(None)]
+        nrows = index[0].size
+        ncols = self._columns[0][0].size if self._columns else 1
+        self._cell = row * ncols + (self._columns[0][1] if self._columns else 0)
+
+        counts = np.bincount(self._cell, minlength=nrows * ncols).reshape(nrows, ncols)
+        bin_of_row = self.bins.of(self._rows[0][0])[index[0]]
+        self._share = counts / self.bins.counts[bin_of_row][:, None]
+        # a block of components holds at most one phase field's worth of entries
+        self._block = max(1, self._cell.size // (nrows + ncols))
+
+    def summed(self, levels, weights) -> tuple[np.ndarray, np.ndarray]:
+        """Sum over components k of ``weights[k]`` times the unit-mass product
+        prod_i exp(-(L_i - levels[k, i])^2 / 2 eps^2), and each product's raw
+        mass; ``levels`` has one row per component, one level per field.
+
+        The sum is D = A^T diag(w / mass) B at each cell's (row, column), and
+        mass = width * rowsum((A N) o B) with N[row, col] = count(row, col) /
+        count(H bin of row); D and N hold rows x columns entries.  Components
+        go a block at a time, and einsum loops, not BLAS, contract them, so
+        the bytes do not depend on the BLAS thread count.  A component whose
+        mass is below DEGENERATE_MASS_TOL adds nothing; callers flag or
+        refuse it by its mass."""
+        levels = np.asarray(levels, dtype=float)
+        weights = np.asarray(weights, dtype=float)
+        if levels.shape[1:] != (len(self.fields),) or weights.shape != levels.shape[:1]:
             raise ValueError(
-                f"need one level per field, got {len(levels)} levels "
-                f"for {len(self.fields)} fields"
+                f"need one level per field and one weight per component, got levels "
+                f"{levels.shape} and weights {weights.shape} for {len(self.fields)} fields"
             )
-        shape = self.fields[0].values.shape
-        factors = (
-            np.take(_mollifier(values, lv, self.epsilon), inverse).reshape(shape)
-            for lv, (values, inverse) in zip(levels, self.distinct)
-        )
-        raw = next(factors)
-        for factor in factors:
-            raw *= factor
-        mass = self.bins.mass(raw)
-        if mass < DEGENERATE_MASS_TOL:
-            raise DegenerateSupportError(
-                f"constraint product has raw mass {mass:.3e}; "
-                f"level values {list(levels)} have empty intersection",
-                raw_mass=mass,
+        total = np.zeros(self._share.shape)
+        masses = np.empty(len(levels))
+        for start in range(0, len(levels), self._block):
+            block = slice(start, start + self._block)
+            lv = levels[block]
+            a = reduce(np.multiply, (
+                _mollifier(values, level, self.epsilon)[:, index]
+                for (values, _), level, index in zip(self._rows, lv.T, self._row_index)
+            ))
+            b = np.ones((len(lv), 1))
+            if self._columns:
+                b = _mollifier(self._columns[0][0], lv[:, -1], self.epsilon)
+            shared = np.einsum("kr,rc->kc", a, self._share)
+            mass = self.bins.width * np.einsum("kc,kc->k", shared, b)
+            scale = np.divide(
+                weights[block], mass, out=np.zeros_like(mass), where=mass >= DEGENERATE_MASS_TOL
             )
-        raw *= weight / mass
-        return raw
+            total += np.einsum("kr,kc->rc", a * scale[:, None], b)
+            masses[block] = mass
+        return np.take(total, self._cell).reshape(self.fields[0].values.shape), masses
 
     def density(self, values) -> ClassicalDensity:
         """``values`` as a density against the first field."""
         return ClassicalDensity(
             PhaseField(self.fields[0].grid, values), self.epsilon, self.fields[0]
         )
+
+
+def _supported(constraints: ConstraintSet, levels, weights) -> ClassicalDensity:
+    """The summed density of components that must each have support; raises
+    DegenerateSupportError for the first whose mass is below tolerance."""
+    values, masses = constraints.summed(levels, weights)
+    for lv, mass in zip(np.asarray(levels), masses):
+        if mass < DEGENERATE_MASS_TOL:
+            raise DegenerateSupportError(
+                f"constraint product has raw mass {mass:.3e}; "
+                f"level values {lv.tolist()} have empty intersection",
+                raw_mass=float(mass),
+            )
+    return constraints.density(values)
 
 
 def wigner_singular(obs_singular: SingularKernel, hfield: PhaseField) -> PhaseField:
@@ -298,8 +358,7 @@ def shell_density(
             f"shell energy {omega0} is unreachable on this window "
             f"(H spans [{h.min():.6g}, {h.max():.6g}])"
         )
-    shell = ConstraintSet([hfield], policy)
-    return shell.density(shell.weighted([omega0], 1.0))
+    return _supported(ConstraintSet([hfield], policy), [[omega0]], [1.0])
 
 
 def classical_state_density(
@@ -312,19 +371,11 @@ def classical_state_density(
     """
     if float(np.max(np.abs(rho_singular.values.imag))) > 1e-10:
         raise ValueError("state diagonal must be real to form a classical density")
-    shells = ConstraintSet([hfield], policy)
-    grid_w = rho_singular.grid.weights
-    omegas = rho_singular.grid.points
-    rho = rho_singular.values.real
     h = hfield.values
-    lo_h, hi_h = float(h.min()), float(h.max())
-
-    out = np.zeros_like(h)
-    for i in range(omegas.size):
-        coeff = grid_w[i] * rho[i]
-        if coeff != 0.0 and lo_h <= omegas[i] <= hi_h:
-            out += shells.weighted([omegas[i]], coeff)
-    return shells.density(out)
+    omegas = rho_singular.grid.points
+    coeff = rho_singular.grid.weights * rho_singular.values.real
+    used = (coeff != 0.0) & (omegas >= float(h.min())) & (omegas <= float(h.max()))
+    return _supported(ConstraintSet([hfield], policy), omegas[used, None], coeff[used])
 
 
 def classical_expectation(rho_field: ClassicalDensity, obs_field: PhaseField) -> float:
@@ -352,9 +403,8 @@ def multi_invariant_density(
         If the constraints have numerically empty intersection (raw binned
         mass below 1e-6), e.g. inconsistent level values.
     """
-    constraints = ConstraintSet(L_fields, policy)
-    levels = [float(v) for v in np.atleast_1d(l_values)]
-    return constraints.density(constraints.weighted(levels, 1.0))
+    levels = [np.atleast_1d(l_values)]
+    return _supported(ConstraintSet(L_fields, policy), levels, [1.0])
 
 
 def mass_within(

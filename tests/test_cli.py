@@ -2,6 +2,9 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -626,3 +629,52 @@ class TestThreads:
         a = {x["path"]: x["sha256"] for x in r1.manifest["artifacts"]}
         b = {x["path"]: x["sha256"] for x in r2.manifest["artifacts"]}
         assert a == b
+
+
+DENSITY_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from pathlib import Path
+    from vanhove import MollifierPolicy, PhaseGrid, ShellState, pointer_state, trajectory_ensemble
+    from vanhove.cli import main
+    from vanhove.wigner import momentum_field, write_phase_field
+
+    out = Path(sys.argv[1])
+    assert main(["wigner", "--config", sys.argv[2], "--out", str(out / "wigner")]) == 0
+    pgrid = PhaseGrid((-1.0, 1.0), (-1.0, 13.0), 32, 40)
+    pointer = pointer_state([
+        ShellState(1.0, (0, 1), [[0.5, 0.1], [0.1, 0.3]]),
+        ShellState(2.0, (0,), [[0.2]]),
+    ])
+    _, density = trajectory_ensemble(
+        pointer, [momentum_field(pgrid)], MollifierPolicy(0.8), [-0.3, 0.3],
+        [[(1.0,), (3.0,)], [(6.0,)]],
+    )
+    write_phase_field(density.field, out / "ensemble.wpf")
+    """
+)
+
+
+def test_densities_do_not_depend_on_blas_threads(tmp_path):
+    # the summed densities contract without BLAS, so its thread count
+    # cannot reorder their sums
+    cfg = write_config(tmp_path, {
+        "kind": "wigner",
+        "grid": {"omega_max": 10.0, "n": 64},
+        "phase_grid": {"q_range": [-5.0, 5.0], "p_range": [-5.0, 5.0], "nq": 128, "np": 128},
+        "hamiltonian": {"type": "harmonic"},
+        "state": {"singular": {"type": "gaussian", "mu": 5.0, "sigma": 0.8}},
+        "epsilon": 0.6,
+    })
+    src = Path(__file__).resolve().parents[1] / "src"
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas-{threads}"
+        done = subprocess.run(
+            [sys.executable, "-c", DENSITY_SCRIPT, str(out), str(cfg)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert done.returncode == 0, done.stderr
+        written[threads] = [(out / p).read_bytes() for p in ("wigner/density.wpf", "ensemble.wpf")]
+    assert written["1"] == written["2"]

@@ -503,60 +503,12 @@ class TestTrajectoryEnsemble:
         with pytest.raises(ValueError):
             trajectory_ensemble(pointer, [pfield], policy, [0.0])
 
-    def test_threads_reproduce_serial(self):
-        state = mixed_degenerate_state()
-        pointer = diagonalize_remaining(state)
-        pgrid, pfield, policy = self.phase_setup(n=101)
-        values = [[(0.3,)], [(1.0,), (-1.0,)], [(0.6,)]]
-        e1, d1 = trajectory_ensemble(pointer, [pfield], policy, [0.0], values, threads=1)
-        e2, d2 = trajectory_ensemble(pointer, [pfield], policy, [0.0], values, threads=3)
-        assert np.array_equal(d1.field.values, d2.field.values)
-        assert e1.entries == e2.entries
-
-    def test_finished_components_are_not_all_held(self, monkeypatch):
-        import threading
-        import weakref
-
-        from vanhove.wigner import ConstraintSet
-
-        pointer = diagonalize_remaining(mixed_degenerate_state())
-        _, pfield, policy = self.phase_setup(n=101)
-        values = [[(0.3,)], [(1.0,), (-1.0,)], [(0.6,)]]
-        threads, a0_points = 2, [float(a) for a in np.linspace(-1.0, 1.0, 16)]
-        weighted, lock, crowd = ConstraintSet.weighted, threading.Lock(), threading.Event()
-        held, peak = [0], [0]
-
-        def release():
-            with lock:
-                held[0] -= 1
-
-        def tracked(self, levels, weight):
-            # the first job waits until a crowd of later components has
-            # finished, or 0.2 s; each finished one is held until the
-            # job-order sum reaches it
-            if list(levels) == [0.3, a0_points[0]]:
-                crowd.wait(timeout=0.2)
-            out = weighted(self, levels, weight)
-            with lock:
-                held[0] += 1
-                peak[0] = max(peak[0], held[0])
-                if held[0] >= 12:
-                    crowd.set()
-            weakref.finalize(out, release)
-            return out
-
-        monkeypatch.setattr(ConstraintSet, "weighted", tracked)
-        ensemble, _ = trajectory_ensemble(
-            pointer, [pfield], policy, a0_points, values, threads=threads
+    @pytest.mark.parametrize("kinetic", [False, True], ids=["momentum", "momentum-kinetic"])
+    def test_density_is_the_job_order_sum_of_public_components(self, kinetic):
+        from vanhove import ShellState, pointer_state
+        from vanhove.wigner import (
+            DEGENERATE_MASS_TOL, _HBins, _mollifier, coordinate_field, kinetic_field,
         )
-        assert len(ensemble.entries) == 4 * len(a0_points)
-        # a batch of 4 jobs per worker, plus the component the sum holds last
-        assert peak[0] <= 4 * threads + 1
-
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_density_is_the_job_order_sum_of_public_components(self, threads):
-        from vanhove import DegenerateSupportError, ShellState, pointer_state
-        from vanhove.wigner import ConstraintSet, coordinate_field
 
         # shell 0 carries probability 0; the level of (2, 0) is unreachable
         pointer = pointer_state([
@@ -565,11 +517,16 @@ class TestTrajectoryEnsemble:
             ShellState(1.0, (0,), [[0.2]]),
         ])
         pgrid, pfield, policy = self.phase_setup(n=101)
-        values = [[(0.3,)], [(1.0,), (-1.0,)], [(50.0,)]]
+        fields = [pfield]
+        if kinetic:
+            # p^2 / 2 needs a wider mollifier than p on this grid
+            fields, policy = [pfield, kinetic_field(pgrid)], MollifierPolicy(0.2)
+        values = [
+            [tuple([p, 0.5 * p * p][: len(fields)]) for p in shell]
+            for shell in [[0.3], [1.0, -1.0], [50.0]]
+        ]
         a0_points = [-0.3, 0.2]
-        ensemble, density = trajectory_ensemble(
-            pointer, [pfield], policy, a0_points, values, threads=threads
-        )
+        ensemble, density = trajectory_ensemble(pointer, fields, policy, a0_points, values)
         jobs = [
             (values[si][ei], a0, max(float(eig), 0.0) / len(a0_points))
             for si, pb in enumerate(pointer)
@@ -581,16 +538,20 @@ class TestTrajectoryEnsemble:
         assert sum(prob == 0.0 for _, _, prob in jobs) == len(a0_points)
         assert sum(e.degenerate for e in entries) == len(a0_points)
 
-        constraints = ConstraintSet([pfield, coordinate_field(pgrid)], policy)
+        # each component formed cell by cell and added in job order
+        pinned = [*fields, coordinate_field(pgrid)]
+        bins = _HBins(pfield, policy.epsilon)
         ref = np.zeros((pgrid.nq, pgrid.np))
         for (l_values, a0, prob), entry in zip(jobs, entries):
-            levels = list(l_values) + [a0]
-            if entry.degenerate:
-                with pytest.raises(DegenerateSupportError):
-                    constraints.weighted(levels, prob)
-            elif prob > 0.0:
-                ref += constraints.weighted(levels, prob)
-        assert np.array_equal(density.field.values, ref)
+            raw = np.ones_like(ref)
+            for field, level in zip(pinned, [*l_values, a0]):
+                raw = raw * _mollifier(field.values, level, policy.epsilon)
+            mass = bins.mass(raw)
+            assert entry.degenerate == (prob > 0.0 and mass < DEGENERATE_MASS_TOL)
+            if not entry.degenerate:
+                ref += raw * (prob / mass)
+        err = np.max(np.abs(density.field.values - ref))
+        assert err <= 16 * np.finfo(float).eps * np.max(ref)
 
     def test_unresolved_epsilon_refused_before_any_component(self, monkeypatch):
         from vanhove.wigner import ConstraintSet
@@ -600,7 +561,7 @@ class TestTrajectoryEnsemble:
         pgrid, pfield, _ = self.phase_setup(n=101)
         values = [[(0.3,)], [(1.0,), (-1.0,)], [(0.6,)]]
         built = []
-        monkeypatch.setattr(ConstraintSet, "weighted", lambda *args: built.append(args))
+        monkeypatch.setattr(ConstraintSet, "summed", lambda *args: built.append(args))
         with pytest.raises(ValueError, match="widen epsilon"):
             trajectory_ensemble(
                 pointer, [pfield], MollifierPolicy(0.5 * pgrid.dp), [0.0], values

@@ -35,6 +35,7 @@ from vanhove import (
     hamiltonian_observable,
     identity_observable,
     make_grid,
+    multi_invariant_density,
     observable_from_descriptors,
     pair,
     pointer_state,
@@ -53,10 +54,13 @@ from vanhove.wigner import (
     DEGENERATE_MASS_TOL,
     ConstraintSet,
     _field_resolution,
+    _HBins,
+    _mollifier,
     harmonic_field,
 )
 
 TOL = 1e-12
+EPS = np.finfo(float).eps
 
 
 @st.composite
@@ -375,17 +379,73 @@ def staircase_fields(draw):
     return fields, eps, levels
 
 
+# Masses are sums of up to 864 positive cell terms, taken per H bin in the
+# reference and per distinct value in ConstraintSet.summed; their rounding
+# differs by up to about 60 ulp (the worst of 1,500 draws), and a value
+# inherits its mass's error.  A wrong share or a wrong factor is off by O(1).
+SUM_ULPS = 128
+
+
+def component_reference(fields, eps, levels):
+    """One unit-weight component formed cell by cell from ``_mollifier`` and
+    ``_HBins``: its raw product and raw mass."""
+    raw = np.ones(fields[0].values.shape)
+    for field, level in zip(fields, levels):
+        raw = raw * _mollifier(field.values, level, eps)
+    return raw, _HBins(fields[0], eps).mass(raw)
+
+
+def assert_close_to_max(values, reference):
+    assert np.max(np.abs(values - reference)) <= SUM_ULPS * EPS * np.max(np.abs(reference))
+
+
 @given(problem=staircase_fields(), weight=st.floats(0.1, 10.0))
 def test_distinct_value_mollifier_is_the_per_cell_product(problem, weight):
     fields, eps, levels = problem
-    constraints = ConstraintSet(fields, MollifierPolicy(eps))
-    factors = [np.exp(-((f.values - lv) ** 2) / (2.0 * eps**2)) for f, lv in zip(fields, levels)]
-    reference = factors[0]
-    for factor in factors[1:]:
-        reference = reference * factor
-    mass = constraints.bins.mass(reference)
+    values, masses = ConstraintSet(fields, MollifierPolicy(eps)).summed([levels], [weight])
+    reference, mass = component_reference(fields, eps, levels)
     if mass < DEGENERATE_MASS_TOL:
+        assert masses[0] < DEGENERATE_MASS_TOL
+        assert not values.any()
         with pytest.raises(DegenerateSupportError):
-            constraints.weighted(levels, weight)
+            multi_invariant_density(levels, fields, MollifierPolicy(eps))
     else:
-        assert np.array_equal(constraints.weighted(levels, weight), reference * (weight / mass))
+        assert abs(masses[0] - mass) <= SUM_ULPS * EPS * mass
+        assert_close_to_max(values, reference * (weight / mass))
+        assert_close_to_max(multi_invariant_density(levels, fields, MollifierPolicy(eps))
+                            .field.values, reference / mass)
+
+
+@st.composite
+def staircase_mixtures(draw):
+    """Fields and a width from ``staircase_fields`` with 1-12 components:
+    each has levels near a random cell and a weight that may be 0; some
+    move one level 4-60 widths away, so their intersection is empty."""
+    fields, eps, _ = draw(staircase_fields())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nq, np_ = fields[0].values.shape
+    levels, weights = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        i, j = rng.integers(nq), rng.integers(np_)
+        lv = [float(f.values[i, j] + rng.normal(0.0, 0.5 * eps)) for f in fields]
+        if draw(st.booleans()) and draw(st.booleans()):
+            lv[rng.integers(len(lv))] += float(rng.choice([-1.0, 1.0]) * rng.uniform(4.0, 60.0)) * eps
+        levels.append(lv)
+        weights.append(draw(st.just(0.0) | st.floats(0.1, 10.0)))
+    return fields, eps, levels, weights
+
+
+@settings(max_examples=150)
+@given(problem=staircase_mixtures())
+def test_summed_density_is_the_job_order_sum_of_components(problem):
+    fields, eps, levels, weights = problem
+    values, masses = ConstraintSet(fields, MollifierPolicy(eps)).summed(levels, weights)
+    reference = np.zeros(fields[0].values.shape)
+    for lv, weight, got in zip(levels, weights, masses):
+        raw, mass = component_reference(fields, eps, lv)
+        if mass < DEGENERATE_MASS_TOL:
+            assert got < DEGENERATE_MASS_TOL
+        else:
+            assert abs(got - mass) <= SUM_ULPS * EPS * mass
+            reference += raw * (weight / mass)
+    assert_close_to_max(values, reference)

@@ -296,7 +296,7 @@ class TestMultiInvariantDensity:
         with pytest.raises(ValueError, match="one level per field"):
             multi_invariant_density([1.0, 2.0], [hfield], policy)
         with pytest.raises(ValueError, match="one level per field"):
-            ConstraintSet([hfield], policy).weighted([1.0, 2.0], 1.0)
+            ConstraintSet([hfield], policy).summed([[1.0, 2.0]], [1.0])
 
     def test_mixed_grids_rejected(self):
         with pytest.raises(GridMismatchError):
