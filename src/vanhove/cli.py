@@ -8,7 +8,6 @@ Time units assume hbar = 1 throughout.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -28,11 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, type=Path, help="JSON config file")
         p.add_argument("--out", required=True, type=Path, help="output directory")
         p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="accepted and recorded in the manifest; no computation depends "
-            "on it (default: VANHOVE_THREADS or 1)",
+            "--threads", type=int, help="accepted and ignored; no computation depends on it"
         )
         p.add_argument(
             "--seed", type=int, default=None, help="overrides the config seed"
@@ -40,31 +35,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(flag: int | None) -> int:
-    if flag is None:
-        env = os.environ.get("VANHOVE_THREADS")
-        if env is None:
-            return 1
-        try:
-            flag = int(env)
-        except ValueError:
-            raise ConfigError(f"VANHOVE_THREADS must be an integer, got {env!r}")
-    if flag < 1:
-        raise ConfigError(f"thread count must be >= 1, got {flag}")
-    return flag
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        threads = _resolve_threads(args.threads)
         config = load_config(args.config)
         if config["kind"] != args.command:
             raise ConfigError(
                 f"config kind {config['kind']!r} does not match "
                 f"subcommand {args.command!r}"
             )
-        result = run_experiment(config, args.out, threads=threads, seed=args.seed)
+        result = run_experiment(config, args.out, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,9 @@ _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
 _PATH = {"type": "string"}
+# a property that must be absent: every value fails it, and, unlike the
+# schema False, its refusal names the property
+_ABSENT = {"not": {}}
 
 
 def _strict(properties: dict, *required: str) -> dict:
@@ -117,17 +120,23 @@ POTENTIAL = _tagged(
     },
 )
 
-MODES = _strict(
-    {
-        "k_values": {"type": "array", "items": _POS, "minItems": 1},
-        "generator": {"enum": ["sqrt-primes"]},
-        "count": {"type": "integer", "minimum": 1},
-        "scale": _POS,
-        "m": _NONNEG,
-        "a_out": _POS,
-    },
-    "m", "a_out",
-)
+MODES = {
+    **_strict(
+        {
+            "k_values": {"type": "array", "items": _POS, "minItems": 1},
+            "generator": {"enum": ["sqrt-primes"]},
+            "count": {"type": "integer", "minimum": 1},
+            "scale": _POS,
+            "m": _NONNEG,
+            "a_out": _POS,
+        },
+        "m", "a_out",
+    ),
+    # explicit moduli, or the generator with its count and optional scale
+    "if": {"required": ["k_values"]},
+    "then": {"properties": {"generator": _ABSENT, "count": _ABSENT, "scale": _ABSENT}},
+    "else": {"required": ["generator", "count"]},
+}
 
 COSMO_STATE = _tagged(
     "type",

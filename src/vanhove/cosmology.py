@@ -22,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._csv import write_csv
+from ._csv import FLOAT_FORMAT, write_csv
 from .errors import (
     IncompatibleBasisError,
     InvalidPotentialError,
     NotEquilibratedError,
 )
+from .kernels import _frozen
 from .pointer import PointerBasis, ShellState, pointer_state
 from .wigner import (
     DEGENERATE_MASS_TOL,
@@ -76,16 +77,13 @@ class Potential:
                     f"energy density must be nonnegative, got {self.lam}"
                 )
         elif self.family == "table":
-            ta = np.array(self.table_a, dtype=float)
-            tv = np.array(self.table_v, dtype=float)
+            ta, tv = _frozen(self.table_a, float), _frozen(self.table_v, float)
             if ta.ndim != 1 or ta.shape != tv.shape or ta.size < 2:
                 raise ValueError("table potential needs matching 1-d a and V samples")
             if not np.all(np.diff(ta) > 0):
                 raise ValueError("table potential abscissae must be increasing")
             if np.any(tv < 0):
                 raise InvalidPotentialError("table potential has negative values")
-            ta.setflags(write=False)
-            tv.setflags(write=False)
             object.__setattr__(self, "table_a", ta)
             object.__setattr__(self, "table_v", tv)
         else:
@@ -139,9 +137,7 @@ class ScaleFactorSolution:
 
     def __post_init__(self):
         for name in ("eta_samples", "a_samples", "s_samples"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name), float))
 
     def to_csv(self, path) -> None:
         columns = [self.eta_samples, self.a_samples, self.s_samples]
@@ -237,8 +233,7 @@ class ModeSet:
     a_out: float
 
     def __post_init__(self):
-        k = np.array(self.k_values, dtype=float)
-        k.setflags(write=False)
+        k = _frozen(self.k_values, float)
         object.__setattr__(self, "k_values", k)
         if k.ndim != 1 or k.size == 0:
             raise ValueError("need a nonempty 1-d list of mode moduli")
@@ -293,8 +288,7 @@ class FockBasis:
     truncated_count: int = 0
 
     def __post_init__(self):
-        e = np.array(self.energies, dtype=float)
-        e.setflags(write=False)
+        e = _frozen(self.energies, float)
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "occupations", tuple(map(tuple, self.occupations)))
         if len(self.occupations) != e.size:
@@ -381,8 +375,7 @@ class CosmoState:
     eps_shell: float = DEFAULT_EPS_SHELL
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        mat.setflags(write=False)
+        mat = _frozen(self.matrix, complex)
         object.__setattr__(self, "matrix", mat)
         d = self.basis.size
         if mat.shape != (d, d):
@@ -520,7 +513,7 @@ class TrajectoryEnsemble:
 
     def to_csv(self, path) -> None:
         header = ["component", "l_values", "a0", "probability"]
-        l_cells = [";".join(f"{v:.16e}" for v in e.l_values) for e in self.entries]
+        l_cells = [";".join(FLOAT_FORMAT % v for v in e.l_values) for e in self.entries]
         a0 = [e.a0 for e in self.entries]
         probability = [e.probability for e in self.entries]
         write_csv(path, header, [range(len(a0)), l_cells, a0, probability])

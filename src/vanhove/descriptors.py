@@ -56,14 +56,17 @@ def _profile(points: np.ndarray, desc: dict) -> np.ndarray:
     raise ValueError(f"unsupported kernel descriptor type {kind!r}")
 
 
-def _nearest_index(grid: EnergyGrid, desc: dict) -> int:
-    return int(np.argmin(np.abs(grid.points - float(desc["omega"]))))
+def _nearest(points: np.ndarray, omegas) -> np.ndarray:
+    """Index of the point nearest each omega (the lower one on a tie), by
+    bisection and a check of the two neighbours."""
+    k = np.clip(np.searchsorted(points, omegas), 1, points.size - 1)
+    return k - (omegas - points[k - 1] <= points[k] - omegas)
 
 
 def singular_from_descriptor(grid: EnergyGrid, desc: dict) -> SingularKernel:
     kind = desc.get("type")
     if kind == "point":
-        k = _nearest_index(grid, desc)
+        k = int(_nearest(grid.points, float(desc["omega"])))
         values = np.zeros(grid.size, dtype=complex)
         values[k] = 1.0 / grid.weights[k]
         return SingularKernel(grid, values)
@@ -75,7 +78,7 @@ def singular_from_descriptor(grid: EnergyGrid, desc: dict) -> SingularKernel:
 def regular_from_descriptor(grid: EnergyGrid, desc: dict) -> RegularKernel:
     kind = desc.get("type")
     if kind == "point":
-        k = _nearest_index(grid, desc)
+        k = int(_nearest(grid.points, float(desc["omega"])))
         left, right = np.zeros((grid.size, 1)), np.zeros((grid.size, 1))
         left[k, 0] = 1.0 / grid.weights[k] ** 2
         right[k, 0] = 1.0
@@ -130,29 +133,32 @@ def observable_from_descriptors(
     return Observable(sing, reg, self_adjoint=self_adjoint)
 
 
-def _grid_index(grid: EnergyGrid, omega: float, path: Path) -> int:
-    k = int(np.argmin(np.abs(grid.points - omega)))
-    scale = max(abs(grid.omega_max), 1.0)
-    if abs(grid.points[k] - omega) > _MATCH_RTOL * scale:
+def _table(grid: EnergyGrid, path: Path, header: list[str]) -> np.ndarray:
+    """A table's values re + i im at the grid cells its omega columns match,
+    all rows at once; NaN where no row lands, the last row where several do.
+    The first omega (NaN included) off the grid by more than _MATCH_RTOL is
+    refused."""
+    table = np.array(read_csv(path, header), dtype=float).reshape(-1, len(header))
+    omegas = table[:, :-2]
+    k = _nearest(grid.points, omegas)
+    off = ~(np.abs(grid.points[k] - omegas) <= _MATCH_RTOL * max(abs(grid.omega_max), 1.0))
+    if off.any():
+        omega = float(omegas.flat[np.argmax(off)])
         raise ConfigError(f"table {path}: omega={omega!r} is not a grid point")
-    return k
+    values = np.full((grid.size,) * omegas.shape[1], np.nan, dtype=complex)
+    values[tuple(k.T)] = table[:, -2] + 1j * table[:, -1]
+    return values
 
 
 def _singular_from_csv(grid: EnergyGrid, path: Path) -> SingularKernel:
-    values = np.full(grid.size, np.nan, dtype=complex)
-    for omega, re, im in read_csv(path, ["omega", "re", "im"]):
-        values[_grid_index(grid, omega, path)] = re + 1j * im
+    values = _table(grid, path, ["omega", "re", "im"])
     if np.any(np.isnan(values)):
         raise ConfigError(f"table {path} does not cover every grid point")
     return SingularKernel(grid, values)
 
 
 def _regular_from_csv(grid: EnergyGrid, path: Path) -> RegularKernel:
-    values = np.full((grid.size, grid.size), np.nan, dtype=complex)
-    for omega, omega_p, re, im in read_csv(path, ["omega", "omega_prime", "re", "im"]):
-        i = _grid_index(grid, omega, path)
-        j = _grid_index(grid, omega_p, path)
-        values[i, j] = re + 1j * im
+    values = _table(grid, path, ["omega", "omega_prime", "re", "im"])
     if np.any(np.isnan(values)):
         raise ConfigError(f"table {path} does not cover the full grid square")
     return RegularKernel(grid, values)

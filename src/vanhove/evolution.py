@@ -23,7 +23,7 @@ import numpy as np
 
 from ._csv import write_csv
 from .errors import GridMismatchError
-from .kernels import BLOCK_ELEMENTS, Observable, StateFunctional, pair, zero_regular
+from .kernels import BLOCK_ELEMENTS, Observable, StateFunctional, _frozen, pair, zero_regular
 
 IMAG_TOL = 1e-10
 # Time samples per matrix product in decay_profile: large enough for BLAS
@@ -90,15 +90,13 @@ class DecayProfile:
 
     def __post_init__(self):
         for name in ("times", "offdiag_abs", "expectations"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name), float))
 
-    def envelope_mask(self, floor_rel: float = ENVELOPE_FLOOR_REL) -> np.ndarray:
-        """Samples above floor_rel * max and above NOISE_MARGIN * noise_floor:
-        the ones an envelope fit may use."""
+    def envelope_mask(self) -> np.ndarray:
+        """Samples above ENVELOPE_FLOOR_REL * max and above NOISE_MARGIN *
+        noise_floor: the ones an envelope fit may use."""
         off = self.offdiag_abs
-        return off > max(floor_rel * off.max(), NOISE_MARGIN * self.noise_floor)
+        return off > max(ENVELOPE_FLOOR_REL * off.max(), NOISE_MARGIN * self.noise_floor)
 
     def to_csv(self, path) -> None:
         """Write columns t, offdiag_abs, expectation (17 significant digits)."""
@@ -202,17 +200,15 @@ def recurrence_time(grid) -> float:
     return 2.0 * np.pi / grid.min_spacing
 
 
-def fit_gaussian_envelope(
-    profile: DecayProfile, floor_rel: float = ENVELOPE_FLOOR_REL
-) -> tuple[float, float]:
+def fit_gaussian_envelope(profile: DecayProfile) -> tuple[float, float]:
     """Least-squares fit of log offdiag_abs = intercept - rate * t^2.
 
-    Only the samples of ``profile.envelope_mask(floor_rel)`` are used:
-    those below floor_rel * max or within NOISE_MARGIN of the rounding-error
+    Only the samples of ``profile.envelope_mask()`` are used: those below
+    ENVELOPE_FLOOR_REL * max or within NOISE_MARGIN of the rounding-error
     bound are dominated by roundoff.  Returns (rate, intercept).
     """
     off = profile.offdiag_abs
-    mask = profile.envelope_mask(floor_rel)
+    mask = profile.envelope_mask()
     if mask.sum() < 3:
         raise ValueError("not enough samples above the noise floor to fit")
     t2 = profile.times[mask] ** 2

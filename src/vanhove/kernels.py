@@ -259,6 +259,21 @@ class RegularKernel:
 
             def block(rows):
                 return u[rows] @ v
+        return self._block_max(block)
+
+    def hermiticity_tolerance(self) -> float:
+        """HERMITICITY_TOL * max(1, M), as rounding grows with the entries:
+        M >= max_ij |f_ij| is a dense kernel's largest |entry|, or the
+        largest row norm of ``left`` times that of ``right``."""
+        if self.right is None:
+            bound = self._block_max(self._rows)
+        else:
+            norms = [np.linalg.norm(f, axis=1).max() for f in (self.left, self.right)]
+            bound = float(norms[0] * norms[1])
+        return HERMITICITY_TOL * max(1.0, bound)
+
+    def _block_max(self, block) -> float:
+        """max |block(rows)| over row blocks of O(n * block) entries."""
         n = self.grid.size
         step = max(1, BLOCK_ELEMENTS // n)
         return max(float(np.abs(block(slice(s, s + step))).max()) for s in range(0, n, step))
@@ -295,7 +310,8 @@ class Observable:
     """Observable |O) = singular (commuting-with-H) part + regular part.
 
     With ``self_adjoint=True`` the constructor enforces real diagonal
-    samples and a Hermitian regular kernel within 1e-12.
+    samples (within 1e-12) and a Hermitian regular kernel (within
+    ``RegularKernel.hermiticity_tolerance``).
     """
 
     singular: SingularKernel
@@ -312,10 +328,11 @@ class Observable:
                     f"self-adjoint observable has complex diagonal (max |Im| = {im:.3e})"
                 )
             defect = self.regular.hermiticity_defect()
-            if defect > HERMITICITY_TOL:
+            tol = self.regular.hermiticity_tolerance()
+            if defect > tol:
                 raise ValueError(
                     f"self-adjoint observable has non-Hermitian regular part "
-                    f"(defect {defect:.3e})"
+                    f"(defect {defect:.3e}, tolerance {tol:.3e})"
                 )
 
     @property
@@ -427,7 +444,8 @@ def validate_state(state: StateFunctional) -> ValidationReport:
     """Check the state invariants; diagnostic only, never raises.
 
     Checks: rho(w) real, rho(w) >= 0 (within -1e-12), (rho|I) = 1 within
-    1e-10, and hermiticity of the regular kernel within 1e-12.  The
+    1e-10, and hermiticity of the regular kernel within its
+    ``hermiticity_tolerance``, 1e-12 for entries up to 1.  The
     hermiticity scan costs O(n^2 rank) time in O(n * block) memory; the
     cutoff amplitude reads only the last row and column.
     """
@@ -448,8 +466,9 @@ def validate_state(state: StateFunctional) -> ValidationReport:
         out.append(Violation("normalization", norm_residual, NORMALIZATION_TOL))
 
     defect = state.regular.hermiticity_defect()
-    if defect > HERMITICITY_TOL:
-        out.append(Violation("hermiticity", defect, HERMITICITY_TOL))
+    tol = state.regular.hermiticity_tolerance()
+    if defect > tol:
+        out.append(Violation("hermiticity", defect, tol))
 
     last = slice(state.grid.size - 1, None)
     cutoff = max(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidShellError
+from .kernels import _frozen
 
 SHELL_HERMITICITY_TOL = 1e-12
 TIE_TOL = 1e-12
@@ -28,8 +29,7 @@ class ShellState:
     block: np.ndarray
 
     def __post_init__(self):
-        block = np.array(self.block, dtype=complex)
-        block.setflags(write=False)
+        block = _frozen(self.block, complex)
         object.__setattr__(self, "block", block)
         object.__setattr__(self, "labels", tuple(self.labels))
         n = len(self.labels)
@@ -53,12 +53,8 @@ class PointerBasis:
     labels: tuple = ()
 
     def __post_init__(self):
-        vals = np.array(self.eigenvalues, dtype=float)
-        vecs = np.array(self.unitary, dtype=complex)
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "unitary", vecs)
+        object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues, float))
+        object.__setattr__(self, "unitary", _frozen(self.unitary, complex))
 
     @property
     def size(self) -> int:

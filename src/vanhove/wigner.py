@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
 from ._csv import FLOAT_FORMAT, write_csv
 from .errors import DegenerateSupportError, DomainMismatchError, GridMismatchError
-from .kernels import SingularKernel
+from .kernels import SingularKernel, _frozen
 
 DEGENERATE_MASS_TOL = 1e-6
 _WPF_HEADER = struct.Struct("<4sII4f4x")
@@ -88,8 +88,7 @@ class PhaseField:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        values.setflags(write=False)
+        values = _frozen(self.values, float)
         object.__setattr__(self, "values", values)
         if values.shape != (self.grid.nq, self.grid.np):
             raise ValueError(
@@ -158,9 +157,14 @@ class ClassicalDensity:
         if float(np.min(self.field.values)) < -1e-12:
             raise ValueError("classical density has negative values")
 
+    @cached_property
+    def bins(self) -> _HBins:
+        """The cells binned by ``hfield``, built on first use."""
+        return _HBins(self.hfield, self.mollifier_width)
+
     def h_mass(self) -> float:
         """Total mass under the H-binned energy integration."""
-        return _HBins(self.hfield, self.mollifier_width).mass(self.field.values)
+        return self.bins.mass(self.field.values)
 
     def edge_fraction(self) -> float:
         """Share of plain phase-area mass sitting on the window border;
@@ -383,7 +387,7 @@ def classical_expectation(rho_field: ClassicalDensity, obs_field: PhaseField) ->
     integrate the product over H only (never over the conjugate variable)."""
     if rho_field.field.grid != obs_field.grid:
         raise GridMismatchError("density and observable field grids differ")
-    bins = _HBins(rho_field.hfield, rho_field.mollifier_width)
+    bins = rho_field.bins
     rho_means = bins.means(rho_field.field.values)
     obs_means = bins.means(obs_field.values)
     return float((rho_means * obs_means).sum() * bins.width)
@@ -417,7 +421,7 @@ def mass_within(
     masked = np.where(
         np.abs(field.values - center) <= halfwidth, density.field.values, 0.0
     )
-    return _HBins(density.hfield, density.mollifier_width).mass(masked)
+    return density.bins.mass(masked)
 
 
 def liouville_residual(density, hfield: PhaseField) -> float:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vanhove import ModeSet, enumerate_fock, sqrt_prime_modes
 from vanhove.cli import main
 from vanhove.config import ConfigError, config_hash, load_config
 from vanhove.harness import run_experiment
@@ -403,6 +404,35 @@ class TestCosmoKind:
         assert "a_out" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_sqrt_prime_generator(self, tmp_path):
+        cfg = self.config()
+        cfg["modes"] = {"generator": "sqrt-primes", "count": 2, "scale": 0.5,
+                        "m": 0.0, "a_out": 20.0}
+        cfg["state"] = {"type": "uniform"}
+        del cfg["trajectory"]
+        out = tmp_path / "out"
+        assert main(["cosmo", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+        omega = np.array([float(row.split(",")[0]) for row in rows])
+        modes = ModeSet(sqrt_prime_modes(2, 0.5), 0.0, 20.0)
+        assert np.array_equal(omega, enumerate_fock(modes, 1).energies)
+
+    @pytest.mark.parametrize("modes, message", [
+        ({"generator": "sqrt-primes"}, "field 'modes': 'count' is a required property"),
+        ({"k_values": [0.5], "generator": "sqrt-primes", "count": 1},
+         "field 'modes/count': 1 should not be valid"),
+        ({"k_values": [0.5], "scale": 2.0}, "field 'modes/scale': 2.0 should not be valid"),
+        ({}, "field 'modes': 'generator' is a required property"),
+    ])
+    def test_modes_need_k_values_or_the_generator(self, tmp_path, capsys, modes, message):
+        cfg = self.config()
+        cfg["modes"] = {**modes, "m": 0.0, "a_out": 20.0}
+        out = tmp_path / "out"
+        rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_explicit_state_requires_re(self, tmp_path, capsys):
         cfg = self.config()
         cfg["state"] = {"type": "explicit"}
@@ -607,28 +637,20 @@ class TestReproducibility:
 
 
 class TestThreads:
-    def test_env_var_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VANHOVE_THREADS", "2")
-        cfg = write_config(tmp_path, gaussian_evolve_config())
-        rc = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert rc == 0
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["threads"] == 2
-
-    def test_bad_env_var(self, tmp_path, monkeypatch, capsys):
+    def test_threaded_cosmo_matches_serial(self, tmp_path, monkeypatch):
+        # --threads is parsed and ignored, and no environment variable is
+        # read in its place: any count writes the same artifacts
         monkeypatch.setenv("VANHOVE_THREADS", "lots")
-        cfg = write_config(tmp_path, gaussian_evolve_config())
-        rc = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert rc == 2
-
-    def test_threaded_cosmo_matches_serial(self, tmp_path):
-        cfg_payload = TestCosmoKind().config()
-        path = write_config(tmp_path, cfg_payload)
-        r1 = run_experiment(load_config(path), tmp_path / "a", threads=1)
-        r2 = run_experiment(load_config(path), tmp_path / "b", threads=4)
-        a = {x["path"]: x["sha256"] for x in r1.manifest["artifacts"]}
-        b = {x["path"]: x["sha256"] for x in r2.manifest["artifacts"]}
-        assert a == b
+        path = write_config(tmp_path, TestCosmoKind().config())
+        digests = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"threads-{threads}"
+            argv = ["cosmo", "--config", str(path), "--out", str(out), "--threads", threads]
+            assert main(argv) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert "threads" not in manifest
+            digests.append({a["path"]: a["sha256"] for a in manifest["artifacts"]})
+        assert digests[0] == digests[1]
 
 
 DENSITY_SCRIPT = textwrap.dedent(

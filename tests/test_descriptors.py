@@ -87,6 +87,28 @@ def test_observable_defaults_self_adjoint(grid):
     assert obs.self_adjoint
 
 
+def test_point_takes_the_nearest_grid_point(grid):
+    # spacing 0.5: 0.25 and 9.75 lie halfway, where the lower point is taken
+    for omega in [0.0, 0.25, 0.26, 3.3, 9.75, 10.0, 12.0]:
+        kern = singular_from_descriptor(grid, {"type": "point", "omega": omega})
+        assert np.flatnonzero(kern.values).tolist() == [np.argmin(np.abs(grid.points - omega))]
+
+
+@pytest.mark.parametrize("profile", [
+    {"type": "gaussian", "mu": 5.0, "sigma": 1.0},
+    {"type": "lorentzian", "center": 5.0, "gamma": 1.0},
+])
+@pytest.mark.parametrize("amplitude", [1e4, 1e6, 1e8])
+def test_large_amplitude_kernels_pass_as_hermitian(profile, amplitude):
+    # f(w) f(w') / amplitude is Hermitian by construction; its rounding, and
+    # the tolerance, grow with the amplitude
+    grid = make_grid(10.0, 512)
+    desc = {**profile, "amplitude": amplitude}
+    obs = observable_from_descriptors(grid, {"type": "uniform"}, desc)
+    assert obs.self_adjoint
+    assert validate_state(state_from_descriptors(grid, {"type": "uniform"}, desc)).ok
+
+
 class TestTables:
     def write_singular(self, path, grid, fn):
         with open(path, "w") as fh:
@@ -130,6 +152,37 @@ class TestTables:
             fh.write("0.123,1.0,0.0\n")
         with pytest.raises(ConfigError, match="not a grid point"):
             singular_from_descriptor(grid, {"type": "table", "path": str(path)})
+
+    @pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
+    def test_tables_match_the_per_row_matcher(self, scheme, tmp_path):
+        grid = make_grid(10.0, 12, scheme)
+        rng = np.random.default_rng(3)
+
+        def rows(cells):
+            # shuffled, omegas off the grid by less than the match tolerance,
+            # and a repeated cell whose last row must win
+            order = [*rng.permutation(len(cells)), int(rng.integers(len(cells)))]
+            return [[float(w + rng.uniform(-5e-9, 5e-9)) for w in cells[k]]
+                    + rng.standard_normal(2).tolist() for k in order]
+
+        def per_row(table, shape):
+            values = np.full(shape, np.nan, dtype=complex)
+            for *omegas, re, im in table:
+                values[tuple(int(np.argmin(np.abs(grid.points - w))) for w in omegas)] = re + 1j * im
+            return values
+
+        def write(path, header, table):
+            path.write_text(header + "\n" + "".join(",".join(map(repr, r)) + "\n" for r in table))
+            return {"type": "table", "path": str(path)}
+
+        table = rows([(w,) for w in grid.points])
+        kern = singular_from_descriptor(grid, write(tmp_path / "s.csv", "omega,re,im", table))
+        assert np.array_equal(kern.values, per_row(table, grid.size))
+
+        table = rows([(wi, wj) for wi in grid.points for wj in grid.points])
+        desc = write(tmp_path / "r.csv", "omega,omega_prime,re,im", table)
+        kern = regular_from_descriptor(grid, desc)
+        assert np.array_equal(kern.values, per_row(table, (grid.size, grid.size)))
 
     def test_missing_file(self, grid):
         with pytest.raises(ConfigError, match="not found"):

@@ -313,6 +313,23 @@ class TestConstruction:
             self_adjoint=False,
         )
 
+    def test_relative_hermiticity_defect_refused(self):
+        # entries up to 1e6 with a relative defect of 1e-9: far above their
+        # rounding, so refused, though the tolerance grows with the entries
+        grid = make_grid(10.0, 64)
+        f = 1e3 * np.exp(-((grid.points - 5.0) ** 2))[:, None]
+        skew = f * (1.0 + 1e-9 * np.linspace(-1.0, 1.0, grid.size))[:, None]
+        reg = RegularKernel(grid, f, skew)
+        tol = reg.hermiticity_tolerance()
+        assert tol == pytest.approx(1e-12 * f.max() * skew.max())  # about 1e-6
+        with pytest.raises(ValueError, match=f"tolerance {tol:.3e}"):
+            Observable(SingularKernel(grid, np.ones(grid.size, dtype=complex)), reg,
+                       self_adjoint=True)
+        report = validate_state(StateFunctional(uniform_state(grid).singular, reg))
+        (violation,) = report.violations
+        assert violation.invariant == "hermiticity"
+        assert violation.residual > violation.tolerance == tol
+
     def test_grid_equality_by_value(self):
         g1 = make_grid(1.0, 4)
         g2 = make_grid(1.0, 4)

@@ -10,7 +10,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vanhove import (
     CosmoState,
@@ -449,3 +449,53 @@ def test_summed_density_is_the_job_order_sum_of_components(problem):
             assert abs(got - mass) <= SUM_ULPS * EPS * mass
             reference += raw * (weight / mass)
     assert_close_to_max(values, reference)
+
+
+@st.composite
+def cosmo_averaging_problems(draw):
+    """A random state and Hermitian observable on a basis of at most 3
+    sqrt-prime modes and 27 vectors whose shell spectrum spans at most 40
+    of its smallest gaps, with the window length T and trapezoid step h."""
+    modes = draw(st.integers(1, 3))
+    mode_set = ModeSet(
+        sqrt_prime_modes(modes, draw(st.floats(0.2, 3.0))),
+        m=draw(st.floats(0.0, 1.0)), a_out=draw(st.floats(1.0, 5.0)),
+    )
+    basis = enumerate_fock(mode_set, draw(st.integers(1, 2)), None)
+    eps_shell = draw(st.one_of(st.just(1e-9), st.floats(0.0, 0.3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = random_cosmo_state(basis, rng, draw(st.floats(0.1, 1.0)), eps_shell)
+    raw = rng.standard_normal((basis.size,) * 2) + 1j * rng.standard_normal((basis.size,) * 2)
+    levels = np.unique(state.shell_energies())
+    assume(levels.size > 1)
+    gap, span = float(np.diff(levels).min()), float(np.ptp(levels))
+    assume(span <= 40.0 * gap)
+    # the window is 10 periods of the smallest gap; the step keeps the
+    # trapezoid error of each term below the averaging bound of that term
+    t_max = 10.0 / gap
+    steps = int(np.ceil(np.sqrt(t_max**3 * span**3 / 24.0)))
+    return state, raw + raw.conj().T, t_max, steps
+
+
+@settings(max_examples=30)
+@given(problem=cosmo_averaging_problems())
+def test_cosmo_time_average_approaches_the_weak_limit(problem):
+    # <O>(t) = sum_ij c_ij exp(-i D_ij t) with c_ij = rho_ij O_ji and D_ij the
+    # shell-energy difference.  Over [0, T] a cross-shell term averages to at
+    # most 2 |c_ij| / (|D_ij| T), at most 2 |rho_cross| |O| / (min gap T) in
+    # all; the trapezoid rule with step h adds at most h^2 D_ij^2 |c_ij| / 12.
+    state, obs, t_max, steps = problem
+    times = np.linspace(0.0, t_max, steps + 1)
+    values = np.array([cosmo_expectation(state, obs, t) for t in times])
+    mean = float(np.sum(values[1:] + values[:-1]) / (2 * steps))
+    limit = cosmo_expectation(cosmo_weak_limit(state), obs, 0.0)
+
+    e = state.shell_energies()
+    delta = np.abs(np.subtract.outer(e, e))
+    weight = np.abs(state.matrix * obs.T)
+    cross = delta > 0
+    h = t_max / steps
+    averaging = np.sum(2.0 * weight[cross] / (delta[cross] * t_max))
+    quadrature = np.sum(h**2 * delta[cross] ** 2 * weight[cross] / 12.0)
+    rounding = 1e-12 * float(weight.sum())
+    assert abs(mean - limit) <= averaging + quadrature + rounding

@@ -1,6 +1,6 @@
 """Refactor gate: artifact sha256s of the four benchmark workloads (seed 1),
-cosmology again at two threads, a validate config and both oracle targets,
-each run through ``vanhove.cli.main`` in a temporary directory.
+a validate config and both oracle targets, each run through
+``vanhove.cli.main`` in a temporary directory.
 
 Usage: python3 tools/refactor_gate.py [--against EARLIER_OUTPUT.json]
 
@@ -22,25 +22,24 @@ from vanhove.cli import main as vanhove_main  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 RUNS = {
-    **{name: (w.make_config(1, False), 1) for name, w in WORKLOADS.items()},
-    "cosmology-threads-2": (WORKLOADS["cosmology"].make_config(1, False), 2),
-    "validate": ({"kind": "validate", "grid": {"omega_max": 10.0, "n": 32},
-                  "state": {"singular": {"type": "gaussian", "mu": 5.0, "sigma": 1.0,
-                                         "amplitude": 2.0}, "normalize": False}}, 1),
-    "oracle-pair": ({"kind": "oracle", "target": "pair", "n": 16, "trials": 5, "seed": 3}, 1),
-    "oracle-cosmo-expectation": ({
+    **{name: w.make_config(1, False) for name, w in WORKLOADS.items()},
+    "validate": {"kind": "validate", "grid": {"omega_max": 10.0, "n": 32},
+                 "state": {"singular": {"type": "gaussian", "mu": 5.0, "sigma": 1.0,
+                                        "amplitude": 2.0}, "normalize": False}},
+    "oracle-pair": {"kind": "oracle", "target": "pair", "n": 16, "trials": 5, "seed": 3},
+    "oracle-cosmo-expectation": {
         "kind": "oracle", "target": "cosmo-expectation", "n_max": 5, "trials": 5,
         "t_max": 5.0, "seed": 3, "modes": {"k_values": [1.0], "m": 0.0, "a_out": 5.0},
-    }, 1),
+    },
 }
 
 
 def gate(workdir: Path) -> dict:
     digests = {}
-    for name, (config, threads) in RUNS.items():
+    for name, config in RUNS.items():
         path, out = workdir / f"{name}.json", workdir / name
         path.write_text(json.dumps(config))
-        argv = [config["kind"], "--config", str(path), "--out", str(out), "--threads", str(threads)]
+        argv = [config["kind"], "--config", str(path), "--out", str(out)]
         # the validate config fails its normalization check on purpose
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             vanhove_main(argv)
