@@ -94,6 +94,7 @@ TIMES = _strict(
 )
 
 _RANGE = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
+_MATRIX = {"type": "array", "items": {"type": "array", "items": _NUM}}
 
 PHASE_GRID = _strict(
     {
@@ -143,7 +144,7 @@ COSMO_STATE = _tagged(
     {
         "uniform": _strict({}),
         "random": _strict({"coherence": {"type": "number", "minimum": 0, "maximum": 1}}),
-        "explicit": _strict({"re": {"type": "array"}, "im": {"type": "array"}}, "re"),
+        "explicit": _strict({"re": _MATRIX, "im": _MATRIX}, "re"),
     },
 )
 
@@ -170,19 +171,23 @@ _SEED = {"type": "integer", "minimum": 0}
 
 # experiment kind -> schema of the config's other fields
 KIND_SCHEMAS = {
-    "evolve": _strict(
-        {
-            "seed": _SEED,
-            "grid": GRID,
-            "state": STATE,
-            "observable": OBSERVABLE,
-            "times": TIMES,
-            "threshold": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            "expected_rate": _POS,
-            "rate_rtol": _POS,
-        },
-        "grid", "state", "observable", "times",
-    ),
+    "evolve": {
+        **_strict(
+            {
+                "seed": _SEED,
+                "grid": GRID,
+                "state": STATE,
+                "observable": OBSERVABLE,
+                "times": TIMES,
+                "threshold": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+                "expected_rate": _POS,
+                "rate_rtol": _POS,
+            },
+            "grid", "state", "observable", "times",
+        ),
+        # a tolerance without the rate it bounds checks nothing
+        "dependentRequired": {"rate_rtol": ["expected_rate"]},
+    },
     "weak-limit": _strict(
         {
             "seed": _SEED,
@@ -195,19 +200,22 @@ KIND_SCHEMAS = {
         },
         "grid", "state", "observable", "times",
     ),
-    "wigner": _strict(
-        {
-            "seed": _SEED,
-            "grid": GRID,
-            "phase_grid": PHASE_GRID,
-            "hamiltonian": PHASE_FUNCTION,
-            "state": STATE,
-            "observable": _strict({"singular": DESCRIPTOR}, "singular"),
-            "epsilon": _POS,
-            "tolerance": _POS,
-        },
-        "grid", "phase_grid", "hamiltonian", "state",
-    ),
+    "wigner": {
+        **_strict(
+            {
+                "seed": _SEED,
+                "grid": GRID,
+                "phase_grid": PHASE_GRID,
+                "hamiltonian": PHASE_FUNCTION,
+                "state": STATE,
+                "observable": _strict({"singular": DESCRIPTOR}, "singular"),
+                "epsilon": _POS,
+                "tolerance": _POS,
+            },
+            "grid", "phase_grid", "hamiltonian", "state",
+        ),
+        "dependentRequired": {"tolerance": ["observable"]},
+    },
     "cosmo": _strict(
         {
             "seed": _SEED,
@@ -241,8 +249,10 @@ KIND_SCHEMAS = {
             },
             "target",
         ),
+        # each target reads only its own size fields
         "if": {"properties": {"target": {"const": "cosmo-expectation"}}},
-        "then": {"required": ["modes"]},
+        "then": {"required": ["modes"], "properties": {"n": _ABSENT}},
+        "else": {"properties": {"modes": _ABSENT, "n_max": _ABSENT, "t_max": _ABSENT}},
     },
 }
 

@@ -8,10 +8,10 @@ valid below the recurrence time 2*pi / min spacing; callers should window
 their assertions accordingly.
 
 Evolution only adds t to the regular kernel's elapsed time; its factors
-are kept.  A decay profile over T time samples on an n-point grid costs
+are kept.  A decay profile over T time samples on an n-point grid is the
+contraction behind ``kernels.pair`` at T times, pair being its T = 1 case:
 O(n T rank_rho rank_O) for descriptor-built (low-rank) kernels and
-O(n^2 T) when either kernel is a dense table, done as matrix products over
-blocks of the time axis with O(block * n) phase workspace.  The state and
+O(n^2 T) when either kernel is a dense table.  The state and
 self-adjointness checks around it (hermiticity) cost O(n^2 rank) time in
 O(n * block) memory, and so limit n for self-adjoint observables.
 """
@@ -22,13 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._csv import write_csv
-from .errors import GridMismatchError
-from .kernels import BLOCK_ELEMENTS, Observable, StateFunctional, _frozen, pair, zero_regular
+from .kernels import Observable, StateFunctional, _contract, _frozen, pair, zero_regular
 
 IMAG_TOL = 1e-10
-# Time samples per matrix product in decay_profile: large enough for BLAS
-# efficiency; above n = 4096 fewer, so the phase block stays O(n).
-_TIME_BLOCK = 256
 # Envelope fits drop samples below this fraction of the largest one, and
 # below NOISE_MARGIN times the profile's rounding-error bound.
 ENVELOPE_FLOOR_REL = 1e-12
@@ -109,67 +105,26 @@ def decay_profile(
 ) -> DecayProfile:
     """Off-diagonal decay of <O>(t) over the given time samples.
 
-    Evaluates the same quantity as pair(evolve(state, t), obs) for every t,
-    on any grid.  The time-independent contraction
-    C_ij = w_i w_j rho_ij O_ji (phases left out) is factored as
-    C = P Q^T (``RegularKernel.trace_factors``), so that
-
-        offdiag(t) = sum_k (v(t)^T P)_k (conj(v(t))^T Q)_k,
-        v_i(t) = e^{-i w_i (t + tau)},
-
-    where tau is the state's elapsed time less the observable's.  For a
-    dense C, Q is the identity and this is v^T C conj(v).  The diagonal
-    term sum_i w_i rho_i O_i does not depend on t.  Times are taken in
-    blocks: the phases V = exp(-i t omega^T) of a block come directly from
-    the times (no recurrence, so no drift), and the block's samples are the
-    row sums of (V P) * (conj(V) Q).  Cost O(n T k) flops for k columns of
-    P (rank_rho * rank_O, or n when dense); memory O(n k + block * n).
-    The profile's ``noise_floor`` is n eps sum_k |P_k|_1 |Q_k|_1, a bound
-    on each sample's rounding error.
+    Evaluates pair(evolve(state, t), obs) for every t, on any grid, by the
+    one contraction behind ``pair`` (``kernels._contract``) taken over all
+    the times at once; bit for bit when neither kernel has evolved.  The
+    profile's ``noise_floor`` bounds each sample's rounding error.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("need at least one time sample")
     if not np.all(np.isfinite(times)):
         raise ValueError("time samples must be finite")
-    if state.grid != obs.grid:
-        raise GridMismatchError("state and observable live on different grids")
-
-    grid = state.grid
-    w = grid.weights
-    diag_c = complex(np.sum(w * state.singular.values * obs.singular.values))
-    if obs.self_adjoint and abs(diag_c.imag) > IMAG_TOL:
+    diag, offdiag, noise_floor = _contract(state, obs, times)
+    if obs.self_adjoint and abs(diag.imag) > IMAG_TOL:
         raise ValueError(
-            f"diagonal term of a self-adjoint observable has |Im| = {abs(diag_c.imag):.3e}"
+            f"diagonal term of a self-adjoint observable has |Im| = {abs(diag.imag):.3e}"
         )
-    diag = diag_c.real
-
-    p, q = state.regular.trace_factors(obs.regular)
-    p *= w[:, None]
-    if q is None:
-        p *= w[None, :]
-        l1 = np.abs(p).sum()
-    else:
-        q *= w[:, None]
-        l1 = np.abs(p).sum(axis=0) @ np.abs(q).sum(axis=0)
-    noise_floor = grid.size * np.finfo(float).eps * float(l1)
-
-    shifted = times + (state.regular.elapsed - obs.regular.elapsed)
-    step = min(_TIME_BLOCK, max(1, BLOCK_ELEMENTS // grid.size))
-    offdiag = np.empty(times.size, dtype=complex)
-    for start in range(0, times.size, step):
-        block = shifted[start : start + step]
-        phases = np.exp(-1j * np.outer(block, grid.points))
-        weighted = phases @ p
-        np.conjugate(phases, out=phases)
-        right = phases if q is None else phases @ q
-        offdiag[start : start + block.size] = np.einsum("tk,tk->t", weighted, right)
-
     return DecayProfile(
         times=times,
         offdiag_abs=np.abs(offdiag),
-        diag_value=diag,
-        expectations=diag + offdiag.real,
+        diag_value=diag.real,
+        expectations=diag.real + offdiag.real,
         noise_floor=noise_floor,
     )
 

@@ -257,6 +257,12 @@ def _run_evolve(config, run: _Run, seed) -> None:
 def _run_weak_limit(config, run: _Run, seed) -> None:
     with run.stage("build"):
         grid, state, obs, times = _build_dephasing(config)
+        t_min = config.get("t_min", float(times[0]))
+        if t_min > times.max():
+            raise ConfigError(
+                f"t_min = {t_min:g} is past the last time sample t = {times.max():g}, "
+                f"so the agreement check would cover no sample"
+            )
     with run.stage("weak-limit"):
         limit = weak_limit(state)
         columns = [grid.points, limit.singular.values.real]
@@ -264,10 +270,8 @@ def _run_weak_limit(config, run: _Run, seed) -> None:
     with run.stage("agreement"):
         profile = decay_profile(state, obs, times)
         run.record("agreement.csv", profile.to_csv)
-        t_min = config.get("t_min", float(times[0]))
         tolerance = config.get("tolerance", 1e-6)
-        window = times >= t_min
-        worst = float(profile.offdiag_abs[window].max()) if window.any() else 0.0
+        worst = float(profile.offdiag_abs[times >= t_min].max())
         summary = {
             "limit_value": float(profile.diag_value),
             "t_min": float(t_min),
@@ -347,6 +351,8 @@ def _cosmo_state_from(cfg: dict, basis, eps_shell: float, rng) -> cosmo.CosmoSta
         return cosmo.random_cosmo_state(basis, rng, cfg.get("coherence", 1.0), eps_shell)
     re = np.asarray(cfg["re"], dtype=float)
     im = np.asarray(cfg.get("im", np.zeros_like(re)), dtype=float)
+    if im.shape != re.shape:
+        raise ConfigError(f"field 'state/im' has shape {im.shape}, 'state/re' has {re.shape}")
     return cosmo.CosmoState(basis, re + 1j * im, eps_shell)
 
 

@@ -34,6 +34,9 @@ CUTOFF_MASS_TOL = 1e-10
 # Entries per row or phase block of work over the grid (16 MB complex), so
 # that workspace stays O(n) in n: 256 rows while n <= 4096.
 BLOCK_ELEMENTS = 256 * 4096
+# Time samples per matrix product of the regular trace: large enough for
+# BLAS efficiency; above n = 4096 fewer, so the phase block stays O(n).
+_TIME_BLOCK = 256
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -278,22 +281,6 @@ class RegularKernel:
         step = max(1, BLOCK_ELEMENTS // n)
         return max(float(np.abs(block(slice(s, s + step))).max()) for s in range(0, n, step))
 
-    def trace_factors(self, other: RegularKernel) -> tuple[np.ndarray, np.ndarray | None]:
-        """Fresh factors of g_ij = f_ij h_ji (phases left out), with h = ``other``.
-
-        For factored kernels f = U V^T and h = X Y^T, g = P Q^T with the
-        column-wise Khatri-Rao products P = U (.) Y and Q = V (.) X, of
-        rank(f) * rank(h) columns.  When either kernel is dense, or that
-        rank reaches n, the dense g is returned as P with Q = None, the
-        identity.
-        """
-        n = self.grid.size
-        if self.right is None or other.right is None or self.rank * other.rank >= n:
-            return self._rows(slice(None)) * other._columns(slice(None)), None
-        p = self.left[:, :, None] * other.right[:, None, :]
-        q = self.right[:, :, None] * other.left[:, None, :]
-        return p.reshape(n, -1), q.reshape(n, -1)
-
 
 def zero_singular(grid: EnergyGrid) -> SingularKernel:
     return SingularKernel(grid, np.zeros(grid.size, dtype=complex))
@@ -378,26 +365,68 @@ def hamiltonian_observable(grid: EnergyGrid) -> Observable:
     )
 
 
+def _contract(
+    state: StateFunctional, obs: Observable, times: np.ndarray
+) -> tuple[complex, np.ndarray, float]:
+    """(diag, offdiag, noise_floor) of (rho(t)|O) at the finite ``times``.
+
+    diag = sum_i w_i rho_i O_i does not depend on t.  The contraction
+    C_ij = w_i w_j rho_ij O_ji (phases left out) is factored as C = P Q^T:
+    for rho = U V^T and O = X Y^T, P = w (U (.) Y) and Q = w (V (.) X) are
+    weighted column-wise Khatri-Rao products of rank_rho * rank_O columns.
+    When either kernel is dense, or that rank reaches n, P is the dense C
+    and Q = None, the identity.  With tau the state's elapsed time less the
+    observable's,
+
+        offdiag(t) = sum_k (v(t)^T P)_k (conj(v(t))^T Q)_k,
+        v_i(t) = e^{-i w_i (t + tau)}.
+
+    Times are taken in blocks whose phases come directly from the times
+    (no recurrence, so no drift): O(n T k) flops for k columns of P, O(n k
+    + block * n) memory.  noise_floor = n eps sum_k |P_k|_1 |Q_k|_1 bounds
+    each offdiag sample's rounding error.
+    """
+    if state.grid != obs.grid:
+        raise GridMismatchError("state and observable live on different grids")
+    grid, rho, o = state.grid, state.regular, obs.regular
+    n, w = grid.size, grid.weights
+    diag = complex(np.sum(w * state.singular.values * obs.singular.values))
+
+    if rho.right is None or o.right is None or rho.rank * o.rank >= n:
+        p, q = rho._rows(slice(None)) * o._columns(slice(None)), None
+        p *= w[:, None]
+        p *= w[None, :]
+        l1 = np.abs(p).sum()
+    else:
+        p = (rho.left[:, :, None] * o.right[:, None, :]).reshape(n, -1)
+        q = (rho.right[:, :, None] * o.left[:, None, :]).reshape(n, -1)
+        p *= w[:, None]
+        q *= w[:, None]
+        l1 = np.abs(p).sum(axis=0) @ np.abs(q).sum(axis=0)
+
+    shifted = times + (rho.elapsed - o.elapsed)
+    step = min(_TIME_BLOCK, max(1, BLOCK_ELEMENTS // n))
+    offdiag = np.empty(times.size, dtype=complex)
+    for start in range(0, times.size, step):
+        block = shifted[start : start + step]
+        phases = np.exp(-1j * np.outer(block, grid.points))
+        weighted = phases @ p
+        np.conjugate(phases, out=phases)
+        right = phases if q is None else phases @ q
+        offdiag[start : start + block.size] = np.einsum("tk,tk->t", weighted, right)
+    return diag, offdiag, n * np.finfo(float).eps * float(l1)
+
+
 def pair(state: StateFunctional, obs: Observable) -> complex:
     """Mean value (rho|O) as a weighted trace over both kernel channels.
 
     Pure singular-regular cross terms vanish identically (the two channels
     are orthogonal), so the result is the diagonal quadrature plus the
-    double-quadrature trace of the regular kernels.  Summation uses
-    numpy's pairwise reduction, so results are bit-reproducible.
+    double-quadrature trace of the regular kernels: the one contraction
+    behind ``decay_profile``, at the single time 0.
     """
-    if state.grid != obs.grid:
-        raise GridMismatchError("state and observable live on different grids")
-    w = state.grid.weights
-    diag = np.sum(w * state.singular.values * obs.singular.values)
-    # sum_ij w_i w_j rho_ij O_ji = (w phase)^T P Q^T (w conj(phase)), where
-    # phase_i = exp(-i w_i tau) carries the net evolution time tau
-    p, q = state.regular.trace_factors(obs.regular)
-    tau = state.regular.elapsed - obs.regular.elapsed
-    phase = np.exp(-1j * tau * state.grid.points) if tau else 1.0
-    right = w * np.conj(phase)
-    cross = ((w * phase) @ p) @ (right if q is None else right @ q)
-    return complex(diag + cross)
+    diag, offdiag, _ = _contract(state, obs, np.zeros(1))
+    return complex(diag + offdiag[0])
 
 
 @dataclass(frozen=True)

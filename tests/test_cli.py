@@ -243,6 +243,16 @@ class TestWeakLimitKind:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
 
+    def test_t_min_past_the_last_sample_is_2(self, tmp_path, capsys):
+        # the check would cover no sample, so even a tolerance of 1e-30 passed
+        cfg = self.config(1e-30)
+        cfg["t_min"] = 61.0
+        out = tmp_path / "out"
+        rc = main(["weak-limit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert rc == 2
+        assert "t_min = 61 is past the last time sample t = 60" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestRecurrenceRefusal:
     @staticmethod
@@ -482,6 +492,17 @@ class TestCosmoKind:
         assert "l values extra components" in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("im", [[[0.0]], [[0.0, 0.0, 0.0, 0.0]]])
+    def test_explicit_im_of_another_shape_is_2(self, tmp_path, capsys, im):
+        # numpy would broadcast either against the 4 x 4 re
+        cfg = self.config()
+        cfg["state"]["im"] = im
+        out = tmp_path / "out"
+        rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert rc == 2
+        assert "field 'state/im' has shape" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_random_state_requires_seed(self, tmp_path):
         cfg = self.config()
         cfg["state"] = {"type": "random", "coherence": 0.5}
@@ -547,6 +568,13 @@ def _cosmo_with(**fields):
     return cfg
 
 
+def _explicit_state(**fields):
+    return _cosmo_with(state={"type": "explicit", **fields})
+
+
+_ORACLE_MODES = {"k_values": [1.0], "m": 0.0, "a_out": 5.0}
+
+
 @pytest.mark.parametrize(
     "make_config, named",
     [
@@ -588,6 +616,45 @@ def _cosmo_with(**fields):
             lambda: {"kind": "oracle", "target": "cosmo-expectation", "seed": 3},
             "field '<root>': 'modes' is a required property",
             id="cosmo-oracle-without-modes",
+        ),
+        pytest.param(
+            lambda: gaussian_evolve_config(rate_rtol=0.1),
+            "field '<root>': 'expected_rate' is a dependency of 'rate_rtol'",
+            id="rate-rtol-without-expected-rate",
+        ),
+        pytest.param(
+            lambda: {
+                "kind": "wigner",
+                "grid": {"omega_max": 3.0, "n": 16},
+                "phase_grid": {"q_range": [-1, 1], "p_range": [-1, 1], "nq": 3, "np": 3},
+                "hamiltonian": {"type": "harmonic"},
+                "state": {"singular": {"type": "uniform"}},
+                "tolerance": 1e-30,
+            },
+            "field '<root>': 'observable' is a dependency of 'tolerance'",
+            id="wigner-tolerance-without-observable",
+        ),
+        pytest.param(
+            lambda: {"kind": "oracle", "target": "pair", "seed": 3, "t_max": 5.0,
+                     "n_max": 3, "modes": _ORACLE_MODES},
+            "field 'modes': {'k_values': [1.0], 'm': 0.0, 'a_out': 5.0} should not be valid",
+            id="pair-oracle-with-cosmo-sizes",
+        ),
+        pytest.param(
+            lambda: {"kind": "oracle", "target": "cosmo-expectation", "seed": 3, "n": 8,
+                     "modes": _ORACLE_MODES},
+            "field 'n': 8 should not be valid",
+            id="cosmo-oracle-with-n",
+        ),
+        pytest.param(
+            lambda: _explicit_state(re=[[True, False], [False, True]]),
+            "field 'state/re/0/0': True is not of type 'number'",
+            id="explicit-state-of-booleans",
+        ),
+        pytest.param(
+            lambda: _explicit_state(re=[[1.0, 0.0], [0.0, 0.0]], im=[0.0, 1.0]),
+            "field 'state/im/0': 0.0 is not of type 'array'",
+            id="explicit-state-with-1d-im",
         ),
     ],
 )

@@ -5,7 +5,8 @@ on ``RegularKernel(grid, k.values)``, the dense matrix of its entries: the
 factored paths (Khatri-Rao contraction, row-block hermiticity scan,
 last-row cutoff, elapsed-time phases) are checked against the dense ones.
 Ranks run from 0 to 3 on grids of 2 to 12 points, so rank_rho * rank_O
-falls on both sides of n and both branches of ``trace_factors`` run.
+falls on both sides of n and both branches of the contraction behind
+``pair`` and ``decay_profile`` (``kernels._contract``) run.
 """
 import os
 import subprocess
@@ -30,7 +31,7 @@ from vanhove import (
     validate_state,
     zero_regular,
 )
-from vanhove.evolution import _TIME_BLOCK
+from vanhove.kernels import _TIME_BLOCK
 
 TOL = 1e-12
 
@@ -40,16 +41,16 @@ def _complex(rng, *shape):
 
 
 @st.composite
-def factored_problems(draw):
+def factored_problems(draw, evolved=True):
     """A state and an observable with factored regular kernels of rank 0-3,
-    each possibly evolved, on a random grid."""
+    each possibly evolved (only if ``evolved``), on a random grid."""
     n = draw(st.integers(2, 12))
     grid = make_grid(draw(st.floats(0.5, 4.0)), n, draw(st.sampled_from(["uniform", "chebyshev"])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def kernel():
         rank = draw(st.integers(0, 3))
-        elapsed = draw(st.sampled_from([0.0, float(rng.uniform(-20.0, 20.0))]))
+        elapsed = draw(st.sampled_from([0.0, float(rng.uniform(-20.0, 20.0))])) if evolved else 0.0
         return RegularKernel(grid, _complex(rng, n, rank), _complex(rng, n, rank), elapsed)
 
     state = StateFunctional(SingularKernel(grid, _complex(rng, n)), kernel())
@@ -91,6 +92,13 @@ def test_decay_profile_matches_dense(count, problem, reach):
     tol = TOL * _scale(state, obs)
     assert np.max(np.abs(got.offdiag_abs - ref.offdiag_abs)) <= tol
     assert np.max(np.abs(got.expectations - ref.expectations)) <= tol
+
+
+@given(problem=factored_problems(evolved=False), dense=st.booleans(), t=st.floats(-50.0, 50.0))
+def test_pair_is_the_one_time_decay_profile_bit_for_bit(problem, dense, t):
+    # one contraction behind both: the same products in the same order
+    state, obs = _dense(*problem) if dense else problem
+    assert pair(evolve(state, t), obs).real == decay_profile(state, obs, [t]).expectations[0]
 
 
 @given(problem=factored_problems())

@@ -46,7 +46,7 @@ from vanhove import (
     weak_limit,
     wigner_singular,
 )
-from vanhove.evolution import _TIME_BLOCK
+from vanhove.kernels import _TIME_BLOCK
 from vanhove.kernels import grid_size_for_spacing
 from vanhove.oracles import dense_pair_oracle
 from vanhove.pointer import TIE_TOL

@@ -1,6 +1,7 @@
 """Refactor gate: artifact sha256s of the four benchmark workloads (seed 1),
-a validate config and both oracle targets, each run through
-``vanhove.cli.main`` in a temporary directory.
+a validate config, both oracle targets and an evolve run whose state has
+a dense (table) regular kernel, each run through ``vanhove.cli.main`` in a
+temporary directory.
 
 Usage: python3 tools/refactor_gate.py [--against EARLIER_OUTPUT.json]
 
@@ -14,6 +15,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -31,10 +34,33 @@ RUNS = {
         "kind": "oracle", "target": "cosmo-expectation", "n_max": 5, "trials": 5,
         "t_max": 5.0, "seed": 3, "modes": {"k_values": [1.0], "m": 0.0, "a_out": 5.0},
     },
+    # n = 64 on [0, 10]: times up to 15 lie inside half the recurrence time, 19.8
+    "evolve-dense-table": {
+        "kind": "evolve", "grid": {"omega_max": 10.0, "n": 64},
+        "state": {"singular": {"type": "gaussian", "mu": 5.0, "sigma": 0.5},
+                  "regular": {"type": "table", "path": "table.csv"}},
+        "observable": {"singular": {"type": "gaussian", "mu": 5.0, "sigma": 0.5},
+                       "regular": {"type": "gaussian", "mu": 5.0, "sigma": 0.5}},
+        "times": {"start": 0.0, "stop": 15.0, "count": 61},
+    },
 }
 
 
+def write_table(path: Path) -> None:
+    """A smooth real symmetric kernel that is not separable,
+    exp(-((w - 5)^2 + (w' - 5)^2) / 2 - (w - w')^2), on the dense-table
+    run's grid; the floats are written as their reprs, so they read back
+    exactly."""
+    omega = np.linspace(0.0, 10.0, 64)
+    w, v = np.meshgrid(omega, omega, indexing="ij")
+    values = np.exp(-((w - 5.0) ** 2 + (v - 5.0) ** 2) / 2.0 - (w - v) ** 2)
+    columns = (a.ravel().tolist() for a in (w, v, values))
+    rows = (f"{a!r},{b!r},{c!r},0.0\n" for a, b, c in zip(*columns))
+    path.write_text("omega,omega_prime,re,im\n" + "".join(rows))
+
+
 def gate(workdir: Path) -> dict:
+    write_table(workdir / "table.csv")
     digests = {}
     for name, config in RUNS.items():
         path, out = workdir / f"{name}.json", workdir / name
