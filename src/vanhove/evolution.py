@@ -11,9 +11,7 @@ Evolution only adds t to the regular kernel's elapsed time; its factors
 are kept.  A decay profile over T time samples on an n-point grid is the
 contraction behind ``kernels.pair`` at T times, pair being its T = 1 case:
 O(n T rank_rho rank_O) for descriptor-built (low-rank) kernels and
-O(n^2 T) when either kernel is a dense table.  The state and
-self-adjointness checks around it (hermiticity) cost O(n^2 rank) time in
-O(n * block) memory, and so limit n for self-adjoint observables.
+O(n^2 T) when either kernel is a dense table.
 """
 from __future__ import annotations
 

@@ -349,6 +349,10 @@ def _cosmo_state_from(cfg: dict, basis, eps_shell: float, rng) -> cosmo.CosmoSta
         return cosmo.uniform_cosmo_state(basis, eps_shell)
     if kind == "random":
         return cosmo.random_cosmo_state(basis, rng, cfg.get("coherence", 1.0), eps_shell)
+    for key in ("re", "im"):
+        lengths = sorted({len(row) for row in cfg.get(key, [])})
+        if len(lengths) > 1:
+            raise ConfigError(f"field 'state/{key}' has rows of lengths {lengths}")
     re = np.asarray(cfg["re"], dtype=float)
     im = np.asarray(cfg.get("im", np.zeros_like(re)), dtype=float)
     if im.shape != re.shape:

@@ -248,21 +248,29 @@ class RegularKernel:
         return self.right[cols] @ self.left.T
 
     def hermiticity_defect(self) -> float:
-        """max_ij |f_ij - conj(f_ji)|, which evolution leaves unchanged.
+        """max_ij |f_ij - conj(f_ji)| of a dense kernel, scanned over row
+        blocks in O(n^2) time and O(n * block) memory; for factors
+        f = U V^T an upper bound on it, in O(n r^2) time and O(n r) memory.
 
-        Taken over row blocks: O(n^2 rank) time and O(n * block) memory.
+        Write V = conj(U) D + E with D Hermitian (the least-squares fit, made
+        Hermitian).  Then f - f^dagger = G - G^dagger with G = U E^T
+        = U (E P)^T + (U - U P^T) E^T for any r x r matrix P, so no entry
+        exceeds 2 (max|U_i| max|(E P)_j| + max|(U - U P^T)_i| max|E_j|).
+        P, the least-squares projector onto the row space of conj(U), drops
+        what U does not see, so that a Hermitian kernel whose U has
+        dependent columns still gets a bound at rounding level.  D and P set
+        only how tight the bound is.  Evolution leaves either defect unchanged.
         """
         if self.right is None:
-            def block(rows):
-                return self._rows(rows) - self._columns(rows).conj()
-        else:
-            # f - f^dagger = [U, conj(V)] [V, -conj(U)]^T: one product per block
-            u = np.concatenate([self.left, self.right.conj()], axis=1)
-            v = np.concatenate([self.right, -self.left.conj()], axis=1).T
-
-            def block(rows):
-                return u[rows] @ v
-        return self._block_max(block)
+            return self._block_max(lambda rows: self._rows(rows) - self._columns(rows).conj())
+        u, v, r = self.left, self.right, self.rank
+        fit = np.linalg.lstsq(u.conj(), np.concatenate([v, u.conj()], axis=1))[0]
+        d, proj = fit[:, :r], fit[:, r:]
+        e = v - u.conj() @ ((d + d.conj().T) / 2.0)
+        return 2.0 * (
+            _max_row_norm(u) * _max_row_norm(e @ proj)
+            + _max_row_norm(u - u @ proj.T) * _max_row_norm(e)
+        )
 
     def hermiticity_tolerance(self) -> float:
         """HERMITICITY_TOL * max(1, M), as rounding grows with the entries:
@@ -271,8 +279,7 @@ class RegularKernel:
         if self.right is None:
             bound = self._block_max(self._rows)
         else:
-            norms = [np.linalg.norm(f, axis=1).max() for f in (self.left, self.right)]
-            bound = float(norms[0] * norms[1])
+            bound = _max_row_norm(self.left) * _max_row_norm(self.right)
         return HERMITICITY_TOL * max(1.0, bound)
 
     def _block_max(self, block) -> float:
@@ -280,6 +287,10 @@ class RegularKernel:
         n = self.grid.size
         step = max(1, BLOCK_ELEMENTS // n)
         return max(float(np.abs(block(slice(s, s + step))).max()) for s in range(0, n, step))
+
+
+def _max_row_norm(a: np.ndarray) -> float:
+    return float(np.linalg.norm(a, axis=1).max())
 
 
 def zero_singular(grid: EnergyGrid) -> SingularKernel:
@@ -297,8 +308,8 @@ class Observable:
     """Observable |O) = singular (commuting-with-H) part + regular part.
 
     With ``self_adjoint=True`` the constructor enforces real diagonal
-    samples (within 1e-12) and a Hermitian regular kernel (within
-    ``RegularKernel.hermiticity_tolerance``).
+    samples (within 1e-12) and a regular kernel whose ``hermiticity_defect``
+    (an upper bound for factors) is within its ``hermiticity_tolerance``.
     """
 
     singular: SingularKernel
@@ -407,13 +418,18 @@ def _contract(
     shifted = times + (rho.elapsed - o.elapsed)
     step = min(_TIME_BLOCK, max(1, BLOCK_ELEMENTS // n))
     offdiag = np.empty(times.size, dtype=complex)
+    # one phase buffer for all blocks: a block (MBs) is above malloc's mmap
+    # threshold, so a fresh array per block would fault its pages in again
+    buffer = np.empty((min(step, times.size), n), dtype=complex)
     for start in range(0, times.size, step):
-        block = shifted[start : start + step]
-        phases = np.exp(-1j * np.outer(block, grid.points))
+        phases = buffer[: min(step, times.size - start)]
+        np.multiply.outer(shifted[start : start + step], grid.points, out=phases)
+        np.multiply(-1j, phases, out=phases)
+        np.exp(phases, out=phases)
         weighted = phases @ p
         np.conjugate(phases, out=phases)
         right = phases if q is None else phases @ q
-        offdiag[start : start + block.size] = np.einsum("tk,tk->t", weighted, right)
+        offdiag[start : start + len(phases)] = np.einsum("tk,tk->t", weighted, right)
     return diag, offdiag, n * np.finfo(float).eps * float(l1)
 
 
@@ -474,9 +490,9 @@ def validate_state(state: StateFunctional) -> ValidationReport:
 
     Checks: rho(w) real, rho(w) >= 0 (within -1e-12), (rho|I) = 1 within
     1e-10, and hermiticity of the regular kernel within its
-    ``hermiticity_tolerance``, 1e-12 for entries up to 1.  The
-    hermiticity scan costs O(n^2 rank) time in O(n * block) memory; the
-    cutoff amplitude reads only the last row and column.
+    ``hermiticity_tolerance``, 1e-12 for entries up to 1, at the cost of
+    ``RegularKernel.hermiticity_defect``; the cutoff amplitude reads only
+    the last row and column.
     """
     out: list[Violation] = []
     w = state.grid.weights

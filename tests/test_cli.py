@@ -503,6 +503,25 @@ class TestCosmoKind:
         assert "field 'state/im' has shape" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            pytest.param({"re": [[1, 0], [0]]}, id="re"),
+            pytest.param({"re": [[1, 0], [0, 0]], "im": [[0, 0], [0]]}, id="im"),
+        ],
+    )
+    def test_explicit_ragged_matrix_is_2(self, tmp_path, capsys, state):
+        cfg = self.config()
+        cfg["modes"]["k_values"] = [0.5]
+        del cfg["trajectory"]
+        cfg["state"] = {"type": "explicit", **state}
+        field = "state/im" if "im" in state else "state/re"
+        out = tmp_path / "out"
+        rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert rc == 2
+        assert f"field '{field}' has rows of lengths [1, 2]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_random_state_requires_seed(self, tmp_path):
         cfg = self.config()
         cfg["state"] = {"type": "random", "coherence": 0.5}

@@ -1,7 +1,7 @@
 """Refactor gate: artifact sha256s of the four benchmark workloads (seed 1),
-a validate config, both oracle targets and an evolve run whose state has
-a dense (table) regular kernel, each run through ``vanhove.cli.main`` in a
-temporary directory.
+two validate configs (one with a rank-1 regular kernel), both oracle
+targets and an evolve run whose state has a dense (table) regular kernel,
+each run through ``vanhove.cli.main`` in a temporary directory.
 
 Usage: python3 tools/refactor_gate.py [--against EARLIER_OUTPUT.json]
 
@@ -29,6 +29,13 @@ RUNS = {
     "validate": {"kind": "validate", "grid": {"omega_max": 10.0, "n": 32},
                  "state": {"singular": {"type": "gaussian", "mu": 5.0, "sigma": 1.0,
                                         "amplitude": 2.0}, "normalize": False}},
+    # a rank-1 regular part, so the factored hermiticity bound is byte-checked;
+    # it sets the cutoff amplitude (mu = 8 near omega_max = 10)
+    "validate-regular": {"kind": "validate", "grid": {"omega_max": 10.0, "n": 32},
+                         "state": {"singular": {"type": "gaussian", "mu": 5.0, "sigma": 1.0,
+                                                "amplitude": 2.0},
+                                   "regular": {"type": "gaussian", "mu": 8.0, "sigma": 1.0},
+                                   "normalize": False}},
     "oracle-pair": {"kind": "oracle", "target": "pair", "n": 16, "trials": 5, "seed": 3},
     "oracle-cosmo-expectation": {
         "kind": "oracle", "target": "cosmo-expectation", "n_max": 5, "trials": 5,
@@ -66,7 +73,7 @@ def gate(workdir: Path) -> dict:
         path, out = workdir / f"{name}.json", workdir / name
         path.write_text(json.dumps(config))
         argv = [config["kind"], "--config", str(path), "--out", str(out)]
-        # the validate config fails its normalization check on purpose
+        # the validate configs fail their normalization check on purpose
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             vanhove_main(argv)
         manifest = json.loads((out / "manifest.json").read_text())
