@@ -138,7 +138,7 @@ def _table(grid: EnergyGrid, path: Path, header: list[str]) -> np.ndarray:
     all rows at once; NaN where no row lands, the last row where several do.
     The first omega (NaN included) off the grid by more than _MATCH_RTOL is
     refused."""
-    table = np.array(read_csv(path, header), dtype=float).reshape(-1, len(header))
+    table = read_csv(path, header)
     omegas = table[:, :-2]
     k = _nearest(grid.points, omegas)
     off = ~(np.abs(grid.points[k] - omegas) <= _MATCH_RTOL * max(abs(grid.omega_max), 1.0))

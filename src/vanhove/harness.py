@@ -330,8 +330,8 @@ def _load_potential(cfg: dict) -> cosmo.Potential:
         return cosmo.constant_potential(cfg.get("lambda", 0.0), cfg["a1"])
     if family == "quadratic-cap":
         return cosmo.quadratic_cap_potential(cfg.get("lambda", 0.0), cfg["a1"])
-    rows = read_csv(Path(cfg["path"]), ["a", "V"])
-    return cosmo.table_potential([r[0] for r in rows], [r[1] for r in rows], cfg["a1"])
+    table = read_csv(Path(cfg["path"]), ["a", "V"])
+    return cosmo.table_potential(table[:, 0], table[:, 1], cfg["a1"])
 
 
 def _mode_set_from(cfg: dict) -> cosmo.ModeSet:

@@ -455,10 +455,12 @@ class Violation:
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of :func:`validate_state`: one entry per violated invariant,
-    plus the kernel amplitude at the spectrum cutoff (truncation diagnostic,
-    never a violation)."""
+    each checked quantity beside its tolerance (``margins``, violated or
+    not), plus the kernel amplitude at the spectrum cutoff (truncation
+    diagnostic, never a violation)."""
 
     violations: tuple[Violation, ...]
+    margins: dict[str, float]
     cutoff_amplitude: float
 
     @property
@@ -480,6 +482,7 @@ class ValidationReport:
                 }
                 for v in self.violations
             ],
+            **self.margins,
             "cutoff_amplitude": self.cutoff_amplitude,
             "cutoff_safe": self.cutoff_safe,
         }
@@ -515,10 +518,20 @@ def validate_state(state: StateFunctional) -> ValidationReport:
     if defect > tol:
         out.append(Violation("hermiticity", defect, tol))
 
+    margins = {
+        "singular_imag_max": im,
+        "singular_imag_tolerance": HERMITICITY_TOL,
+        "singular_min": neg,
+        "singular_min_floor": POSITIVITY_FLOOR,
+        "normalization_residual": norm_residual,
+        "normalization_tolerance": NORMALIZATION_TOL,
+        "hermiticity_defect": defect,
+        "hermiticity_tolerance": tol,
+    }
     last = slice(state.grid.size - 1, None)
     cutoff = max(
         float(np.abs(rho_s[-1])),
         float(np.max(np.abs(state.regular._rows(last)))),
         float(np.max(np.abs(state.regular._columns(last)))),
     )
-    return ValidationReport(tuple(out), cutoff)
+    return ValidationReport(tuple(out), margins, cutoff)

@@ -26,7 +26,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from ._csv import FLOAT_FORMAT, write_csv
+from ._csv import write_csv
 from .errors import DegenerateSupportError, DomainMismatchError, GridMismatchError
 from .kernels import SingularKernel, _frozen
 
@@ -518,12 +518,7 @@ def read_phase_field(path) -> PhaseField:
 
 
 def phase_field_to_csv(field: PhaseField, path) -> None:
-    """Rows q,p,value with 17 significant digits, q-major order.
-
-    Each axis value is formatted once; the q and p columns are object
-    arrays whose cells share those strings."""
+    """Rows q,p,value with 17 significant digits, q-major order."""
     grid = field.grid
-    q, p = (np.array([FLOAT_FORMAT % v for v in axis.tolist()], dtype=object)
-            for axis in (grid.q, grid.p))
-    columns = [np.repeat(q, grid.np), np.tile(p, grid.nq), field.values.ravel()]
+    columns = [np.repeat(grid.q, grid.np), np.tile(grid.p, grid.nq), field.values.ravel()]
     write_csv(path, ["q", "p", "value"], columns)

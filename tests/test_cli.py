@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -138,6 +140,35 @@ class TestExitCodes:
         rc = main(["validate", "--config", str(write_config(tmp_path, cfg)),
                    "--out", str(tmp_path / "out")])
         assert rc == 0
+
+    def test_validation_records_each_margin(self, tmp_path):
+        # the refactor gate's two validate configs, and the gate's first draft
+        # of the regular one (mu = 5), whose cutoff amplitude is the plain one's
+        spec = importlib.util.spec_from_file_location(
+            "refactor_gate", Path(__file__).resolve().parent.parent / "tools" / "refactor_gate.py")
+        gate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gate)
+        draft = copy.deepcopy(gate.RUNS["validate-regular"])
+        draft["state"]["regular"]["mu"] = 5.0
+        configs = {"validate": gate.RUNS["validate"],
+                   "validate-regular": gate.RUNS["validate-regular"], "draft": draft}
+        written = {}
+        for name, cfg in configs.items():
+            out = tmp_path / name
+            assert main(["validate", "--config", str(write_config(tmp_path, cfg, f"{name}.json")),
+                         "--out", str(out)]) == 1  # both fail normalization on purpose
+            written[name] = (out / "validation.json").read_bytes()
+        assert len(set(written.values())) == 3
+        plain, draft = json.loads(written["validate"]), json.loads(written["draft"])
+        assert plain["cutoff_amplitude"] == draft["cutoff_amplitude"]
+        assert plain["hermiticity_defect"] == 0.0
+        assert 0.0 < draft["hermiticity_defect"] <= draft["hermiticity_tolerance"]
+        for quantity, tolerance in [("singular_imag_max", "singular_imag_tolerance"),
+                                    ("singular_min", "singular_min_floor"),
+                                    ("normalization_residual", "normalization_tolerance")]:
+            assert plain[quantity] == draft[quantity]
+            assert isinstance(plain[tolerance], float)
+        assert plain["normalization_residual"] > plain["normalization_tolerance"]
 
     def test_kernel_table_long_row_is_2(self, tmp_path, capsys):
         (tmp_path / "kern.csv").write_text("omega,re,im\n0.0,1.0,0.0,9\n10.0,1.0,0.0\n")

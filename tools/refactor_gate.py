@@ -1,7 +1,8 @@
 """Refactor gate: artifact sha256s of the four benchmark workloads (seed 1),
 two validate configs (one with a rank-1 regular kernel), both oracle
-targets and an evolve run whose state has a dense (table) regular kernel,
-each run through ``vanhove.cli.main`` in a temporary directory.
+targets, an evolve run whose state has a dense (table) regular kernel and
+a small cosmo run whose potential is a table, each run through
+``vanhove.cli.main`` in a temporary directory.
 
 Usage: python3 tools/refactor_gate.py [--against EARLIER_OUTPUT.json]
 
@@ -50,6 +51,12 @@ RUNS = {
                        "regular": {"type": "gaussian", "mu": 5.0, "sigma": 0.5}},
         "times": {"start": 0.0, "stop": 15.0, "count": 61},
     },
+    # the seed-1 tiny cosmology workload with a sampled potential, so both
+    # table readers are byte-checked
+    "cosmo-table-potential": {
+        **WORKLOADS["cosmology"].make_config(1, True),
+        "potential": {"family": "table", "path": "potential.csv", "a1": 1.0},
+    },
 }
 
 
@@ -66,8 +73,19 @@ def write_table(path: Path) -> None:
     path.write_text("omega,omega_prime,re,im\n" + "".join(rows))
 
 
+def write_potential(path: Path) -> None:
+    """A smooth nonnegative potential that is not one of the closed-form
+    families, V(a) = 2 (1 - a^2) + sin(pi a)^2 / 2 at 33 points of [0, 1],
+    written as reprs like the kernel table."""
+    a = np.linspace(0.0, 1.0, 33)
+    v = 2.0 * (1.0 - a**2) + 0.5 * np.sin(np.pi * a) ** 2
+    rows = (f"{x!r},{y!r}\n" for x, y in zip(a.tolist(), v.tolist()))
+    path.write_text("a,V\n" + "".join(rows))
+
+
 def gate(workdir: Path) -> dict:
     write_table(workdir / "table.csv")
+    write_potential(workdir / "potential.csv")
     digests = {}
     for name, config in RUNS.items():
         path, out = workdir / f"{name}.json", workdir / name
