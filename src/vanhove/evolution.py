@@ -8,10 +8,12 @@ valid below the recurrence time 2*pi / min spacing; callers should window
 their assertions accordingly.
 
 Evolution only adds t to the regular kernel's elapsed time; its factors
-are kept.  A decay profile over T time samples on an n-point grid is the
-contraction behind ``kernels.pair`` at T times, pair being its T = 1 case:
-O(n T rank_rho rank_O) for descriptor-built (low-rank) kernels and
-O(n^2 T) when either kernel is a dense table.
+are kept.  A decay profile over T evenly spaced time samples on an n-point
+grid is the contraction behind ``kernels.pair`` at T times, pair being its
+T = 1 case.  Its phases are products of about sqrt(T) fine and sqrt(T)
+coarse rows of n exponentials, and its sums are GEMMs: O(n T rank_rho
+rank_O) multiply-adds for descriptor-built (low-rank) kernels and O(n^2 T)
+when either kernel is a dense table.
 """
 from __future__ import annotations
 
@@ -103,10 +105,15 @@ def decay_profile(
 ) -> DecayProfile:
     """Off-diagonal decay of <O>(t) over the given time samples.
 
+    The times must be evenly spaced, as from np.linspace or np.arange:
+    each must lie within a few ulps of max|t| of times[0] + m * step, or a
+    ValueError naming np.linspace is raised before any work is done.
     Evaluates pair(evolve(state, t), obs) for every t, on any grid, by the
     one contraction behind ``pair`` (``kernels._contract``) taken over all
-    the times at once; bit for bit when neither kernel has evolved.  The
-    profile's ``noise_floor`` bounds each sample's rounding error.
+    the times at once, its phases split into fine and coarse rows; bit for
+    bit at a single time when neither kernel has evolved.  The profile's
+    ``noise_floor`` bounds each sample's rounding error, phase angles
+    included.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:

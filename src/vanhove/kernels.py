@@ -34,9 +34,9 @@ CUTOFF_MASS_TOL = 1e-10
 # Entries per row or phase block of work over the grid (16 MB complex), so
 # that workspace stays O(n) in n: 256 rows while n <= 4096.
 BLOCK_ELEMENTS = 256 * 4096
-# Time samples per matrix product of the regular trace: large enough for
-# BLAS efficiency; above n = 4096 fewer, so the phase block stays O(n).
-_TIME_BLOCK = 256
+# Time samples may stray this many ulps of max|t| from an arithmetic
+# progression; np.linspace and np.arange samples stay within 4.
+TIME_STRAY_ULPS = 8
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -96,19 +96,21 @@ class EnergyGrid:
 
 
 def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Clenshaw-Curtis nodes and weights on [-1, 1], ascending, n points."""
+    """Clenshaw-Curtis nodes and weights on [-1, 1], ascending, n points.
+
+    With N = n - 1 and nodes cos(j pi / N), the weights are the DCT-I of
+    the Chebyshev moments m_k = int T_k = 2 / (1 - k^2) (k even; 0 odd),
+    w_j = (c_j / N) sum_k'' m_k cos(j k pi / N), c_j halved at both ends:
+    one real FFT of the moments' even extension (Waldvogel, BIT 46, 2006).
+    """
     big_n = n - 1
-    theta = np.pi * np.arange(n) / big_n
-    j = np.arange(1, big_n // 2 + 1)
-    if j.size:
-        b = np.where(2 * j == big_n, 1.0, 2.0)
-        s = (b / (4 * j**2 - 1)) @ np.cos(2.0 * np.outer(j, theta))
-    else:
-        s = np.zeros(n)
-    w = (2.0 / big_n) * (1.0 - s)
+    moments = np.zeros(n)
+    even = np.arange(0, n, 2)
+    moments[even] = 2.0 / (1.0 - even**2.0)
+    w = np.fft.rfft(np.concatenate([moments, moments[-2:0:-1]])).real / big_n
     w[0] /= 2.0
     w[-1] /= 2.0
-    return -np.cos(theta), w
+    return -np.cos(np.pi * np.arange(n) / big_n), w
 
 
 def make_grid(omega_max: float, n: int, scheme: str = "uniform") -> EnergyGrid:
@@ -376,29 +378,83 @@ def hamiltonian_observable(grid: EnergyGrid) -> Observable:
     )
 
 
+def _even_step(times: np.ndarray) -> float:
+    """The step of the evenly spaced ``times``, t_m = times[0] + m step.
+
+    A sample more than TIME_STRAY_ULPS ulps of max|t| off that progression
+    (at most 8 eps max|t|) is refused with ValueError: np.linspace and
+    np.arange samples stray by at most 2 eps max|t|.  A subnormal step
+    rounds to 2^-1074 absolute, not relative, so T such ulps are allowed
+    on top.
+    """
+    if times.size == 1:
+        return 0.0
+    step = (times[-1] - times[0]) / (times.size - 1)
+    stray = np.abs(times - (times[0] + np.arange(times.size) * step))
+    worst = int(np.argmax(stray))
+    tol = TIME_STRAY_ULPS * np.spacing(np.abs(times).max()) + times.size * np.spacing(0.0)
+    if stray[worst] > tol:
+        raise ValueError(
+            f"time samples must be evenly spaced: t[{worst}] = {times[worst]!r} lies "
+            f"{stray[worst]:.3e} off t[0] + {worst} * {step!r}; build them with "
+            f"np.linspace(start, stop, count)"
+        )
+    return step
+
+
 def _contract(
     state: StateFunctional, obs: Observable, times: np.ndarray
 ) -> tuple[complex, np.ndarray, float]:
-    """(diag, offdiag, noise_floor) of (rho(t)|O) at the finite ``times``.
+    """(diag, offdiag, noise_floor) of (rho(t)|O) at the finite, evenly
+    spaced ``times`` t_m = t_0 + m step (uneven ones are refused first).
 
     diag = sum_i w_i rho_i O_i does not depend on t.  The contraction
     C_ij = w_i w_j rho_ij O_ji (phases left out) is factored as C = P Q^T:
     for rho = U V^T and O = X Y^T, P = w (U (.) Y) and Q = w (V (.) X) are
-    weighted column-wise Khatri-Rao products of rank_rho * rank_O columns.
-    When either kernel is dense, or that rank reaches n, P is the dense C
-    and Q = None, the identity.  With tau the state's elapsed time less the
-    observable's,
+    weighted column-wise Khatri-Rao products of k = rank_rho * rank_O
+    columns.  When either kernel is dense, or k reaches n, P is the dense C
+    (k = n) and Q = None, the identity.  With tau the state's elapsed time
+    less the observable's,
 
         offdiag(t) = sum_k (v(t)^T P)_k (conj(v(t))^T Q)_k,
         v_i(t) = e^{-i w_i (t + tau)}.
 
-    Times are taken in blocks whose phases come directly from the times
-    (no recurrence, so no drift): O(n T k) flops for k columns of P, O(n k
-    + block * n) memory.  noise_floor = n eps sum_k |P_k|_1 |Q_k|_1 bounds
-    each offdiag sample's rounding error.
+    Each sample index is split as m = c B + b with B about sqrt(T), so
+    v(t_m) = F_b (.) G_c with fine phases F_bi = e^{-i w_i b step} and
+    coarse phases G_ci = e^{-i w_i (t_0 + tau + c B step)}: (B + C) n
+    exponentials for C = ceil(T / B), not T n.  Then (v^T P)_k is
+    (F (G_c (.) P))_bk, one GEMM for a block of coarse rows stacked as
+    columns; the Q side is conj(F (G_c (.) conj(Q))), the same phases, and
+    for Q = None the right factor is conj(F_b (.) G_c) itself.  O(n T k)
+    multiply-adds in O(n (B + k)) workspace: F and each block's arrays are
+    capped at BLOCK_ELEMENTS (B too, so B <= BLOCK_ELEMENTS / n), and the
+    columns of P are taken in blocks when one coarse row would pass it.
+
+    noise_floor bounds each offdiag sample's rounding error to first order
+    in u = eps / 2.  Every term of the double sum is perturbed relatively,
+    and the terms' magnitudes sum to at most l1 = sum_k |P_k|_1 |Q_k|_1, so
+    the bound is l1 times the largest relative perturbation.  With
+    M = max|t| + |tau| and w_max the largest grid point:
+
+    - angle: the computed angles of F_b and G_c take seven roundings (tau,
+      t_0 + tau, c B step, b step, their sum, the two products by w_i) of
+      values whose magnitudes sum to at most 7 M, and an accepted t_m
+      strays from t_0 + m step by at most 19 u max|t| (the check's
+      16 u max|t| and its three roundings): 26 u w_max M;
+    - exp: F and G are each within 2 u of exact (sin and cos to 1 ulp), so
+      each phase v_i is within (4 + 26 w_max M) u of exact, and each term
+      holds two phases: (8 + 52 w_max M) u;
+    - arithmetic: a complex dot product of length n (a real sum of 2n
+      products per component) errs by at most 2 sqrt(2) n u of its
+      absolute sum.  Add one on each side, the sqrt(5) u of each complex
+      product (G (.) P, G (.) Q and left times right) and the n u of the
+      sum over k <= n columns: (4 sqrt(2) n + n + 3 sqrt(5)) u.
+
+    In all, rounded up: noise_floor = (4 n + 8 + 26 w_max M) eps l1.
     """
     if state.grid != obs.grid:
         raise GridMismatchError("state and observable live on different grids")
+    step = _even_step(times)
     grid, rho, o = state.grid, state.regular, obs.regular
     n, w = grid.size, grid.weights
     diag = complex(np.sum(w * state.singular.values * obs.singular.values))
@@ -415,22 +471,37 @@ def _contract(
         q *= w[:, None]
         l1 = np.abs(p).sum(axis=0) @ np.abs(q).sum(axis=0)
 
-    shifted = times + (rho.elapsed - o.elapsed)
-    step = min(_TIME_BLOCK, max(1, BLOCK_ELEMENTS // n))
-    offdiag = np.empty(times.size, dtype=complex)
-    # one phase buffer for all blocks: a block (MBs) is above malloc's mmap
-    # threshold, so a fresh array per block would fault its pages in again
-    buffer = np.empty((min(step, times.size), n), dtype=complex)
-    for start in range(0, times.size, step):
-        phases = buffer[: min(step, times.size - start)]
-        np.multiply.outer(shifted[start : start + step], grid.points, out=phases)
-        np.multiply(-1j, phases, out=phases)
-        np.exp(phases, out=phases)
-        weighted = phases @ p
-        np.conjugate(phases, out=phases)
-        right = phases if q is None else phases @ q
-        offdiag[start : start + len(phases)] = np.einsum("tk,tk->t", weighted, right)
-    return diag, offdiag, n * np.finfo(float).eps * float(l1)
+    def phases(shifts):  # e^{-i w_i s} for each shift s, one row per shift
+        out = np.multiply.outer(shifts, -1j * grid.points)
+        return np.exp(out, out=out)
+
+    count, k = times.size, p.shape[1]
+    tau = rho.elapsed - o.elapsed
+    # B^2 = T (1 + k / 8) minimises the (B + C) n exponentials plus the
+    # 2 C n k products that scale P and Q by G, an exponential costing
+    # about 16 products
+    fine = min(count, int(np.ceil(np.sqrt(count * (1 + k / 8)))), max(1, BLOCK_ELEMENTS // n))
+    coarse = -(-count // fine)
+    width = max(n, fine)
+    cols = max(1, min(k, BLOCK_ELEMENTS // width))
+    rows = min(coarse, max(1, BLOCK_ELEMENTS // (width * cols)))
+    f = phases(np.arange(fine) * step)
+    offdiag = np.zeros((coarse, fine), dtype=complex)
+    for c0 in range(0, coarse, rows):
+        cs = slice(c0, min(c0 + rows, coarse))
+        g = phases((times[0] + tau) + np.arange(cs.start, cs.stop) * fine * step)
+        for k0 in range(0, k, cols):
+            ks = slice(k0, k0 + cols)
+            left = f @ (g.T[:, :, None] * p[:, None, ks]).reshape(n, -1)
+            if q is None:
+                right = np.conjugate(f[:, None, ks] * g[None, :, ks])
+            else:
+                right = np.conjugate(f @ (g.T[:, :, None] * q[:, None, ks].conj()).reshape(n, -1))
+            shape = (fine, len(g), -1)
+            offdiag[cs] += np.einsum("bck,bck->cb", left.reshape(shape), right.reshape(shape))
+    reach = max(abs(times[0]), abs(times[-1])) + abs(tau)
+    floor = (4 * n + 8 + 26 * grid.omega_max * reach) * np.finfo(float).eps * float(l1)
+    return diag, offdiag.ravel()[:count], floor
 
 
 def pair(state: StateFunctional, obs: Observable) -> complex:

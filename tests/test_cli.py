@@ -817,3 +817,59 @@ def test_densities_do_not_depend_on_blas_threads(tmp_path):
         assert done.returncode == 0, done.stderr
         written[threads] = [(out / p).read_bytes() for p in ("wigner/density.wpf", "ensemble.wpf")]
     assert written["1"] == written["2"]
+
+
+DECAY_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from pathlib import Path
+    from vanhove.cli import main
+
+    out = Path(sys.argv[1])
+    for kind, config in (("evolve", sys.argv[2]), ("weak-limit", sys.argv[3])):
+        assert main([kind, "--config", config, "--out", str(out / kind)]) == 0
+    """
+)
+
+
+def test_decay_profiles_do_not_depend_on_blas_threads(tmp_path):
+    # the split-time contraction's GEMMs must not regroup a sum with the
+    # thread count: an evolve run whose state is a dense table, and a
+    # factored weak-limit run on a Chebyshev grid, each large enough for
+    # OpenBLAS to split its products over two threads
+    omega = np.linspace(0.0, 10.0, 64)
+    w, v = np.meshgrid(omega, omega, indexing="ij")
+    values = np.exp(-((w - 5.0) ** 2 + (v - 5.0) ** 2) / 2.0 - (w - v) ** 2)
+    cells = zip(w.ravel().tolist(), v.ravel().tolist(), values.ravel().tolist())
+    rows = "".join(f"{a!r},{b!r},{c!r},0.0\n" for a, b, c in cells)
+    (tmp_path / "table.csv").write_text("omega,omega_prime,re,im\n" + rows)
+    gauss = {"type": "gaussian", "mu": 5.0, "sigma": 0.5}
+    evolve = write_config(tmp_path, {
+        "kind": "evolve",
+        "grid": {"omega_max": 10.0, "n": 64},
+        "state": {"singular": gauss, "regular": {"type": "table", "path": "table.csv"}},
+        "observable": {"singular": gauss, "regular": gauss},
+        "times": {"start": -15.0, "stop": 15.0, "count": 257},
+    }, "evolve.json")
+    weak = write_config(tmp_path, {
+        "kind": "weak-limit",
+        "grid": {"omega_max": 10.0, "n": 1024, "scheme": "chebyshev"},
+        "state": {"singular": gauss,
+                  "regular": {"type": "lorentzian", "center": 5.0, "gamma": 0.6}},
+        "observable": {"singular": gauss, "regular": gauss},
+        "times": {"start": 0.0, "stop": 60.0, "count": 2001},
+        "t_min": 20.0,
+    }, "weak.json")
+    src = Path(__file__).resolve().parents[1] / "src"
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas-{threads}"
+        done = subprocess.run(
+            [sys.executable, "-c", DECAY_SCRIPT, str(out), str(evolve), str(weak)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert done.returncode == 0, done.stderr
+        written[threads] = [(out / p).read_bytes()
+                            for p in ("evolve/decay.csv", "weak-limit/agreement.csv")]
+    assert written["1"] == written["2"]

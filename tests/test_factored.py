@@ -9,12 +9,14 @@ Ranks run from 0 to 3 on grids of 2 to 12 points, so rank_rho * rank_O
 falls on both sides of n and both branches of the contraction behind
 ``pair`` and ``decay_profile`` (``kernels._contract``) run.
 """
+import itertools
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from vanhove import (
     validate_state,
     zero_regular,
 )
-from vanhove.kernels import _TIME_BLOCK
+from vanhove import kernels
 
 TOL = 1e-12
 
@@ -86,7 +88,9 @@ def test_pair_and_evolve_match_dense(problem, t):
     assert abs(pair(evolve(state, t), obs) - pair(evolve(d_state, t), d_obs)) <= TOL * scale
 
 
-@pytest.mark.parametrize("count", [1, _TIME_BLOCK - 1, _TIME_BLOCK, _TIME_BLOCK + 1])
+# 16^2 - 1, 16^2 and 16^2 + 1 samples: the split m = c B + b (B = 16)
+# short of, exactly and one past whole coarse rows
+@pytest.mark.parametrize("count", [1, 255, 256, 257])
 @given(problem=factored_problems(), reach=st.floats(0.0, 100.0))
 def test_decay_profile_matches_dense(count, problem, reach):
     state, obs = problem
@@ -103,6 +107,62 @@ def test_pair_is_the_one_time_decay_profile_bit_for_bit(problem, dense, t):
     # one contraction behind both: the same products in the same order
     state, obs = _dense(*problem) if dense else problem
     assert pair(evolve(state, t), obs).real == decay_profile(state, obs, [t]).expectations[0]
+
+
+def _direct_offdiag(state, obs, times):
+    """offdiag(t) = sum_ij w_i w_j rho_ij O_ji e^{-i (w_i - w_j)(t + tau)}
+    summed directly over i, j for every t, with the factors' products, the
+    angles and the sums in extended precision."""
+    ext = np.clongdouble
+
+    def entries(kern):  # f_ij without the phase
+        left = kern.left.astype(ext)
+        return left if kern.right is None else left @ kern.right.astype(ext).T
+
+    grid = state.grid
+    w = grid.weights.astype(np.longdouble)
+    c = w[:, None] * w[None, :] * entries(state.regular) * entries(obs.regular).T
+    tau = np.longdouble(state.regular.elapsed) - np.longdouble(obs.regular.elapsed)
+    shifted = times.astype(np.longdouble) + tau
+    v = np.exp(-1j * np.multiply.outer(shifted, grid.points.astype(np.longdouble)))
+    return np.einsum("ti,ij,tj->t", v, c, v.conj())
+
+
+# every split m = c B + b from one sample to B^2 - 1, B^2 and B^2 + 1 for
+# B = 2 to 5 and 16: last coarse rows full and partial, whatever B is
+SPLIT_COUNTS = (*range(1, 27), 255, 256, 257)
+
+
+@given(problem=factored_problems(), dense=st.booleans(),
+       start=st.floats(-300.0, 300.0), step=st.floats(-2.0, 2.0))
+def test_split_decay_matches_direct_sum_within_noise_floor(problem, dense, start, step):
+    # negative times and elapsed times of either sign; ranks 0-3 on 2-12
+    # points put rank_rho * rank_O on both sides of n, and ``dense`` makes
+    # both kernels tables.  Blocks of 24 entries also cap B and split the
+    # coarse rows and a table's columns into many blocks
+    state, obs = _dense(*problem) if dense else problem
+    for block, count in itertools.product((kernels.BLOCK_ELEMENTS, 24), SPLIT_COUNTS):
+        times = np.linspace(start, start + step * (count - 1), count)
+        with mock.patch.object(kernels, "BLOCK_ELEMENTS", block):
+            _, offdiag, noise_floor = kernels._contract(state, obs, times)
+        err = np.abs(offdiag - _direct_offdiag(state, obs, times)).astype(float)
+        assert np.max(err) <= noise_floor, (count, np.max(err), noise_floor)
+
+
+def test_uneven_times_refused():
+    grid = make_grid(10.0, 32)
+    gauss = {"type": "gaussian", "mu": 5.0, "sigma": 0.5}
+    state = state_from_descriptors(grid, gauss, gauss)
+    obs = observable_from_descriptors(grid, gauss, gauss)
+    with pytest.raises(ValueError, match="np.linspace"):
+        decay_profile(state, obs, [0.0, 1.0, 3.0])
+    times = np.linspace(-7.0, 9.0, 33)
+    nudged = times.copy()
+    nudged[20] += 16 * np.spacing(9.0)
+    with pytest.raises(ValueError, match=r"t\[20\]"):
+        decay_profile(state, obs, nudged)
+    nudged[20] = times[20] + np.spacing(9.0)  # an ulp: still a progression
+    decay_profile(state, obs, nudged)
 
 
 def _entries_defect(kern):
@@ -165,6 +225,23 @@ def test_hermitian_factors_stay_hermitian_under_evolve(n, rank, seed, blind, t):
     norms = [float(np.linalg.norm(f, axis=1).max(initial=0.0)) for f in (u, v)]
     assert defect <= 256 * rank * np.finfo(float).eps * norms[0] * norms[1]
     assert evolve(herm, t).regular.hermiticity_defect() == defect
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_factored_hermiticity_bound_sees_a_dropped_column(seed):
+    # f = u u^H + d w^T is Hermitian but for d w^T, and d, the difference of
+    # U's two columns, is 64 eps z: far below lstsq's eps * n cutoff, so the
+    # fit drops it.  Only the bound's (U - U P^T) E term sees that part,
+    # which stands above the rounding of the scanned entries
+    n, eps = 256, np.finfo(float).eps
+    rng = np.random.default_rng(seed)
+    u, z, w = (_complex(rng, n) for _ in range(3))
+    left = np.stack([u, u + 64 * eps * z], axis=1)
+    kern = RegularKernel(make_grid(1.0, n), left, np.stack([u.conj() - w, w], axis=1))
+    singular = np.linalg.svd(left, compute_uv=False)
+    assert singular[1] < eps * n * singular[0] / 4
+    rounding = 8 * eps * np.abs(kern.left).max() * np.abs(kern.right).max()
+    assert kern.hermiticity_defect() >= _entries_defect(kern) - rounding
 
 
 def test_descriptor_kernels_are_low_rank():

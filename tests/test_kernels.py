@@ -15,6 +15,7 @@ from vanhove import (
     validate_state,
     zero_regular,
 )
+from vanhove.kernels import _clenshaw_curtis
 from vanhove.oracles import dense_pair_oracle
 
 
@@ -75,6 +76,38 @@ class TestMakeGrid:
         exact = 3.0 * (1.0 - np.exp(-10.0 / 3.0))
         got = float(np.sum(grid.weights * np.exp(-grid.points / 3.0)))
         assert abs(got - exact) < 1e-12
+
+    @staticmethod
+    def _cosine_matrix_weights(n):
+        """Clenshaw-Curtis weights from the explicit cosine sum, one
+        n/2 x n matrix."""
+        big_n = n - 1
+        theta = np.pi * np.arange(n) / big_n
+        j = np.arange(1, big_n // 2 + 1)
+        if j.size:
+            b = np.where(2 * j == big_n, 1.0, 2.0)
+            s = (b / (4 * j**2 - 1)) @ np.cos(2.0 * np.outer(j, theta))
+        else:
+            s = np.zeros(n)
+        w = (2.0 / big_n) * (1.0 - s)
+        w[0] /= 2.0
+        w[-1] /= 2.0
+        return w
+
+    def test_clenshaw_curtis_fft_matches_cosine_sum(self):
+        # both parities of n - 1, so the moment at k = n - 1 is set and unset
+        for n in range(2, 301):
+            _, w = _clenshaw_curtis(n)
+            assert np.max(np.abs(w - self._cosine_matrix_weights(n))) <= 1e-15, n
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 64, 65, 300, 301])
+    def test_clenshaw_curtis_integrates_monomials(self, n):
+        # an n-point rule is exact up to degree n - 1: int x^d = 2 / (d + 1), d even
+        x, w = _clenshaw_curtis(n)
+        assert abs(w.sum() - 2.0) <= 1e-14
+        for d in range(n):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(w @ x**d - exact) <= 1e-14, (n, d)
 
     def test_grid_invariants(self):
         for scheme in ("uniform", "chebyshev"):
