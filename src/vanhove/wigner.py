@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -159,7 +159,8 @@ class ClassicalDensity:
 
     @cached_property
     def bins(self) -> _HBins:
-        """The cells binned by ``hfield``, built on first use."""
+        """The cells binned by ``hfield``, built on first use unless
+        ``ConstraintSet.density`` handed over its own."""
         return _HBins(self.hfield, self.mollifier_width)
 
     def h_mass(self) -> float:
@@ -216,6 +217,27 @@ def _mollifier(distinct: np.ndarray, levels, epsilon: float) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+# Factors are cut below 2^-54 = eps / 4, half an ulp of a factor near its
+# peak 1; exp(-REACH^2 / 2) = 2^-54 gives REACH = sqrt(108 ln 2) = 8.65 widths.
+REACH = float(np.sqrt(-2.0 * np.log(np.finfo(float).eps / 4)))
+
+
+def _banded(distinct: np.ndarray, levels: np.ndarray, epsilon: float):
+    """The slice of sorted ``distinct`` values within reach of any of
+    ``levels``, and ``_mollifier`` there, one row per level.  A factor is
+    evaluated where l - REACH eps <= L <= l + REACH eps, and is exactly 0
+    elsewhere."""
+    reach = REACH * epsilon
+    lo = np.searchsorted(distinct, levels - reach, "left")
+    hi = np.searchsorted(distinct, levels + reach, "right")
+    band = slice(int(lo.min()), int(hi.max()))
+    out = _mollifier(distinct[band], levels, epsilon)
+    for row, start, stop in zip(out, lo - band.start, hi - band.start):
+        row[:start] = 0.0
+        row[stop:] = 0.0
+    return band, out
+
+
 class ConstraintSet:
     """Gaussian mollifiers of fixed fields at one width, and weighted sums of
     their products.
@@ -226,9 +248,11 @@ class ConstraintSet:
     more fields the last is the column group and the others the row group;
     one field is the row group alone.  Each cell is keyed by the joint
     distinct values of each group, its row and column, so a product of
-    mollifiers is A[row] B[col] with one exp per distinct value.  This
-    set-up (``np.unique`` per field and per further row field) is paid once
-    per set, also for a single level tuple as in ``shell_density``."""
+    mollifiers is A[row] B[col].  Rows are sorted by the first field's value
+    and columns by the last field's, so the values within REACH eps of a
+    level are one slice of each.  This set-up (``np.unique`` per field and
+    per further row field) is paid once per set, also for a single level
+    tuple as in ``shell_density``."""
 
     def __init__(self, fields, policy: MollifierPolicy):
         self.fields = list(fields)
@@ -252,37 +276,56 @@ class ConstraintSet:
         split = max(1, len(self.fields) - 1)
         self._rows, self._columns = self.distinct[:split], self.distinct[split:]
 
-        # joint distinct values of the row group, one field at a time: each
+        # joint distinct values of the row group, one field at a time, keyed
+        # first-field-major so that rows are sorted by the first field: each
         # row's index into every row field's distinct values, and each cell's row
         values, row = self._rows[0]
         index = [np.arange(values.size)]
         for values, inverse in self._rows[1:]:
             keys, row = np.unique(row * values.size + inverse, return_inverse=True)
             index = [i[keys // values.size] for i in index] + [keys % values.size]
-        # a single row field needs no gather: its rows are its distinct values
-        self._row_index = index if len(index) > 1 else [slice(None)]
+        self._row_values = self._rows[0][0][index[0]]
+        self._row_index = index[1:]
         nrows = index[0].size
         ncols = self._columns[0][0].size if self._columns else 1
         self._cell = row * ncols + (self._columns[0][1] if self._columns else 0)
 
         counts = np.bincount(self._cell, minlength=nrows * ncols).reshape(nrows, ncols)
-        bin_of_row = self.bins.of(self._rows[0][0])[index[0]]
-        self._share = counts / self.bins.counts[bin_of_row][:, None]
+        self._share = counts / self.bins.counts[self.bins.of(self._row_values)][:, None]
         # a block of components holds at most one phase field's worth of entries
         self._block = max(1, self._cell.size // (nrows + ncols))
 
     def summed(self, levels, weights) -> tuple[np.ndarray, np.ndarray]:
         """Sum over components k of ``weights[k]`` times the unit-mass product
-        prod_i exp(-(L_i - levels[k, i])^2 / 2 eps^2), and each product's raw
-        mass; ``levels`` has one row per component, one level per field.
+        prod_i g(L_i - levels[k, i]), and each product's raw mass; ``levels``
+        has one row per component, one level per field.  The factor g(d) is
+        exp(-d^2 / 2 eps^2) where |d| <= REACH eps and exactly 0 beyond.
 
         The sum is D = A^T diag(w / mass) B at each cell's (row, column), and
         mass = width * rowsum((A N) o B) with N[row, col] = count(row, col) /
         count(H bin of row); D and N hold rows x columns entries.  Components
-        go a block at a time, and einsum loops, not BLAS, contract them, so
-        the bytes do not depend on the BLAS thread count.  A component whose
-        mass is below DEGENERATE_MASS_TOL adds nothing; callers flag or
-        refuse it by its mass."""
+        go a block at a time in ascending order of their first level, so a
+        block's nonzero factors lie in one slice of rows (the first field is
+        within reach) and one of columns: each block costs K_block x (band
+        rows + band columns) exponentials and contracts only that rectangle.
+        Further row fields are evaluated on their distinct values within
+        reach and gathered at the band's rows.  Besides the count, the band
+        skips the exponentials that underflow, for which numpy's exp takes
+        over ten times as long as for a normal result (about a hundred times
+        for a subnormal one).  einsum loops, not BLAS, contract the blocks,
+        so the bytes do not depend on the BLAS thread count.
+
+        The cut is below rounding.  A dropped term has a factor below 2^-54
+        and the others at most 1, so the dropped part of a cell is at most
+        2^-54 sum_k w_k / m_k.  Each bin mean of a product loses at most
+        2^-54, so each raw mass m_k is short by at most 2^-54 S, where S =
+        width x bins <= (H range + eps / 2) (1.4e-15 on [0, 25]); that moves
+        w_k / m_k by at most 2^-54 S / m_k relative, 1.4e-9 at a mass of
+        DEGENERATE_MASS_TOL, and it can move a component across that
+        tolerance only if its mass lies within 2^-54 S of it.  A component
+        whose mass is below DEGENERATE_MASS_TOL, among them one with no
+        value in reach (mass exactly 0), adds nothing; callers flag or
+        refuse it by its mass.  Masses come back in the caller's order."""
         levels = np.asarray(levels, dtype=float)
         weights = np.asarray(weights, dtype=float)
         if levels.shape[1:] != (len(self.fields),) or weights.shape != levels.shape[:1]:
@@ -290,32 +333,38 @@ class ConstraintSet:
                 f"need one level per field and one weight per component, got levels "
                 f"{levels.shape} and weights {weights.shape} for {len(self.fields)} fields"
             )
+        order = np.argsort(levels[:, 0], kind="stable")
         total = np.zeros(self._share.shape)
         masses = np.empty(len(levels))
         for start in range(0, len(levels), self._block):
-            block = slice(start, start + self._block)
+            block = order[start:start + self._block]
             lv = levels[block]
-            a = reduce(np.multiply, (
-                _mollifier(values, level, self.epsilon)[:, index]
-                for (values, _), level, index in zip(self._rows, lv.T, self._row_index)
-            ))
-            b = np.ones((len(lv), 1))
+            rows, a = _banded(self._row_values, lv[:, 0], self.epsilon)
+            for (values, _), index, level in zip(self._rows[1:], self._row_index, lv.T[1:]):
+                band, factor = _banded(values, level, self.epsilon)
+                full = np.zeros((len(lv), values.size))
+                full[:, band] = factor
+                a *= full[:, index[rows]]
+            columns, b = slice(None), np.ones((len(lv), 1))
             if self._columns:
-                b = _mollifier(self._columns[0][0], lv[:, -1], self.epsilon)
-            shared = np.einsum("kr,rc->kc", a, self._share)
+                columns, b = _banded(self._columns[0][0], lv[:, -1], self.epsilon)
+            shared = np.einsum("kr,rc->kc", a, self._share[rows, columns])
             mass = self.bins.width * np.einsum("kc,kc->k", shared, b)
             scale = np.divide(
                 weights[block], mass, out=np.zeros_like(mass), where=mass >= DEGENERATE_MASS_TOL
             )
-            total += np.einsum("kr,kc->rc", a * scale[:, None], b)
+            total[rows, columns] += np.einsum("kr,kc->rc", a * scale[:, None], b)
             masses[block] = mass
         return np.take(total, self._cell).reshape(self.fields[0].values.shape), masses
 
     def density(self, values) -> ClassicalDensity:
-        """``values`` as a density against the first field."""
-        return ClassicalDensity(
+        """``values`` as a density against the first field, holding this
+        set's bins (the same field and width) instead of binning again."""
+        density = ClassicalDensity(
             PhaseField(self.fields[0].grid, values), self.epsilon, self.fields[0]
         )
+        vars(density)["bins"] = self.bins
+        return density
 
 
 def _supported(constraints: ConstraintSet, levels, weights) -> ClassicalDensity:

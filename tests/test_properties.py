@@ -51,10 +51,12 @@ from vanhove.oracles import dense_pair_oracle
 from vanhove.pointer import TIE_TOL
 from vanhove.wigner import (
     DEGENERATE_MASS_TOL,
+    REACH,
     ConstraintSet,
     _field_resolution,
     _HBins,
     _mollifier,
+    _supported,
     harmonic_field,
 )
 
@@ -383,11 +385,17 @@ def staircase_fields(draw):
 # differs by up to about 60 ulp (the worst of 1,500 draws), and a value
 # inherits its mass's error.  A wrong share or a wrong factor is off by O(1).
 SUM_ULPS = 128
+# summed keeps a factor only within REACH eps of its level, where it is at
+# least CUT = 2^-54.  A cell's product thus loses less than CUT, and so does
+# each bin mean: a raw mass m~ is short of the untruncated m by at most CUT S,
+# S the bin width times the bin count, and a cell's value is off by at most
+# CUT sum_k (w_k / m~_k) (1 + S / m_k).
+CUT = EPS / 4
 
 
 def component_reference(fields, eps, levels):
     """One unit-weight component formed cell by cell from ``_mollifier`` and
-    ``_HBins``: its raw product and raw mass."""
+    ``_HBins``, with no cut: its raw product and raw mass."""
     raw = np.ones(fields[0].values.shape)
     for field, level in zip(fields, levels):
         raw = raw * _mollifier(field.values, level, eps)
@@ -398,21 +406,44 @@ def assert_close_to_max(values, reference):
     assert np.max(np.abs(values - reference)) <= SUM_ULPS * EPS * np.max(np.abs(reference))
 
 
+def assert_summed_matches_reference(fields, eps, levels, weights, values, masses):
+    """``summed``'s values and masses against the job-order sum of untruncated
+    components, within rounding and the cut; the components summed are those
+    whose returned mass reaches DEGENERATE_MASS_TOL."""
+    bins = _HBins(fields[0], eps)
+    span = bins.width * bins.nbins
+    reference, cut = np.zeros(fields[0].values.shape), 0.0
+    for lv, weight, got in zip(levels, weights, masses):
+        raw, mass = component_reference(fields, eps, lv)
+        assert abs(got - mass) <= SUM_ULPS * EPS * mass + CUT * span
+        if got >= DEGENERATE_MASS_TOL:
+            reference += raw * (weight / mass)
+            cut += CUT * (weight / got) * (1.0 + span / mass)
+    assert np.max(np.abs(values - reference)) <= SUM_ULPS * EPS * np.max(reference) + cut
+
+
+def in_reach(fields, eps, levels):
+    """Cells where every field is within reach of its level, as summed decides
+    it: l - REACH eps <= L <= l + REACH eps in floating point."""
+    reach = REACH * eps
+    return np.logical_and.reduce([
+        (f.values >= level - reach) & (f.values <= level + reach)
+        for f, level in zip(fields, levels)
+    ])
+
+
 @given(problem=staircase_fields(), weight=st.floats(0.1, 10.0))
 def test_distinct_value_mollifier_is_the_per_cell_product(problem, weight):
     fields, eps, levels = problem
     values, masses = ConstraintSet(fields, MollifierPolicy(eps)).summed([levels], [weight])
-    reference, mass = component_reference(fields, eps, levels)
-    if mass < DEGENERATE_MASS_TOL:
-        assert masses[0] < DEGENERATE_MASS_TOL
+    assert_summed_matches_reference(fields, eps, [levels], [weight], values, masses)
+    if masses[0] < DEGENERATE_MASS_TOL:
         assert not values.any()
         with pytest.raises(DegenerateSupportError):
             multi_invariant_density(levels, fields, MollifierPolicy(eps))
     else:
-        assert abs(masses[0] - mass) <= SUM_ULPS * EPS * mass
-        assert_close_to_max(values, reference * (weight / mass))
-        assert_close_to_max(multi_invariant_density(levels, fields, MollifierPolicy(eps))
-                            .field.values, reference / mass)
+        density = multi_invariant_density(levels, fields, MollifierPolicy(eps))
+        assert_summed_matches_reference(fields, eps, [levels], [1.0], density.field.values, masses)
 
 
 @st.composite
@@ -439,15 +470,68 @@ def staircase_mixtures(draw):
 def test_summed_density_is_the_job_order_sum_of_components(problem):
     fields, eps, levels, weights = problem
     values, masses = ConstraintSet(fields, MollifierPolicy(eps)).summed(levels, weights)
-    reference = np.zeros(fields[0].values.shape)
-    for lv, weight, got in zip(levels, weights, masses):
-        raw, mass = component_reference(fields, eps, lv)
-        if mass < DEGENERATE_MASS_TOL:
-            assert got < DEGENERATE_MASS_TOL
-        else:
-            assert abs(got - mass) <= SUM_ULPS * EPS * mass
-            reference += raw * (weight / mass)
-    assert_close_to_max(values, reference)
+    assert_summed_matches_reference(fields, eps, levels, weights, values, masses)
+
+
+@st.composite
+def banded_mixtures(draw):
+    """A mixture from ``staircase_mixtures`` in which some components have a
+    level whose reach ends exactly on a distinct value of its field (l - R
+    or l + R equals it in floating point), plus one component, at a random
+    place, whose level in one field is beyond reach of all its values."""
+    fields, eps, levels, weights = draw(staircase_mixtures())
+    reach = REACH * eps
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for lv in levels:
+        if draw(st.booleans()):
+            i, side = rng.integers(len(fields)), float(rng.choice([-1.0, 1.0]))
+            distinct = np.unique(fields[i].values)
+            edge = distinct[np.argmin(np.abs(distinct - (lv[i] + side * reach)))]
+            level = edge - side * reach
+            for near in (level, np.nextafter(level, -np.inf), np.nextafter(level, np.inf)):
+                if near + side * reach == edge:
+                    lv[i] = float(near)
+                    break
+    far = list(levels[0])
+    i = rng.integers(len(fields))
+    values = fields[i].values
+    far[i] = float(rng.choice([values.min() - 1.01 * reach, values.max() + 1.01 * reach]))
+    empty = int(rng.integers(len(levels) + 1))
+    levels.insert(empty, far)
+    weights.insert(empty, draw(st.floats(0.1, 10.0)))
+    return fields, eps, levels, weights, empty
+
+
+@settings(max_examples=150)
+@given(problem=banded_mixtures(), data=st.data())
+def test_summed_density_drops_only_factors_out_of_reach(problem, data):
+    fields, eps, levels, weights, empty = problem
+    constraints = ConstraintSet(fields, MollifierPolicy(eps))
+    values, masses = constraints.summed(levels, weights)
+    assert_summed_matches_reference(fields, eps, levels, weights, values, masses)
+
+    # a cell is nonzero exactly where a supported component reaches it; the
+    # reach includes its ends, so a band one value short misses a cell here
+    reached = np.zeros(values.shape, dtype=bool)
+    for lv, weight, mass in zip(levels, weights, masses):
+        if weight > 0.0 and mass >= DEGENERATE_MASS_TOL:
+            reached |= in_reach(fields, eps, lv)
+    assert np.array_equal(values > 0.0, reached)
+    assert not values[~reached].any()
+
+    # a component with no value in reach has no mass at all, and is refused
+    assert masses[empty] == 0.0
+    with pytest.raises(DegenerateSupportError) as refused:
+        _supported(constraints, [levels[empty]], [1.0])
+    assert refused.value.raw_mass == 0.0
+
+    # any component order gives the same sum, and masses in the caller's order
+    order = np.array(data.draw(st.permutations(range(len(levels)))))
+    shuffled, shuffled_masses = constraints.summed(
+        np.asarray(levels)[order], np.asarray(weights)[order]
+    )
+    assert np.all(np.abs(shuffled_masses - masses[order]) <= SUM_ULPS * EPS * masses[order])
+    assert_close_to_max(shuffled, values)
 
 
 @st.composite

@@ -26,9 +26,12 @@ from vanhove import (
     wigner_singular,
     write_phase_field,
 )
+from vanhove import wigner
 from vanhove._csv import read_csv, write_csv
 from vanhove.wigner import (
     ConstraintSet,
+    _HBins,
+    _mollifier,
     coordinate_field,
     harmonic_field,
     kinetic_field,
@@ -206,6 +209,41 @@ class TestClassicalStateDensity:
         state = state_from_descriptors(grid, {"type": "uniform"})
         density = classical_state_density(state.singular, hfield, MollifierPolicy(0.1))
         assert density.h_mass() < 0.5  # most shells unreachable, no error
+
+
+    def test_density_holds_the_bins_of_its_constraints(self):
+        grid = make_grid(3.0, 64)
+        hfield = harmonic_field(square_grid(2.8, 301))
+        constraints = ConstraintSet([hfield], MollifierPolicy(0.1))
+        density = constraints.density(np.exp(-hfield.values))
+        assert density.bins is constraints.bins
+        fresh = _HBins(density.hfield, density.mollifier_width)
+        for name in ("lo", "epsilon", "width", "nbins"):
+            assert getattr(density.bins, name) == getattr(fresh, name)
+        np.testing.assert_array_equal(density.bins.index, fresh.index)
+        np.testing.assert_array_equal(density.bins.counts, fresh.counts)
+        state = state_from_descriptors(grid, {"type": "gaussian", "mu": 1.0, "sigma": 0.3})
+        density = classical_state_density(state.singular, hfield, MollifierPolicy(0.1))
+        assert density.h_mass() == fresh.mass(density.field.values)
+
+    def test_factors_are_evaluated_only_near_their_levels(self, monkeypatch):
+        # 500 levels over the whole H range [0, 16] at eps = 0.3: a block of 5
+        # components spans 0.13 in H, and its band 2 REACH eps + 0.13 = 5.3, a
+        # third of the range (0.305 of the rows as measured; the distinct
+        # values are densest at mid range).  Unbanded, every level took every row.
+        hfield = harmonic_field(square_grid(4.0, 128))
+        constraints = ConstraintSet([hfield], MollifierPolicy(0.3))
+        given = []
+
+        def counting(distinct, levels, epsilon):
+            given.append(np.size(distinct) * np.size(levels))
+            return _mollifier(distinct, levels, epsilon)
+
+        monkeypatch.setattr(wigner, "_mollifier", counting)
+        levels = np.linspace(0.0, 16.0, 500)
+        constraints.summed(levels[:, None], np.ones(levels.size))
+        rows = constraints.distinct[0][0].size
+        assert 0 < sum(given) <= 0.35 * levels.size * rows
 
 
 class TestClassicalExpectation:
