@@ -69,7 +69,7 @@ from .wigner import (
     write_phase_field,
 )
 from .config import config_hash, load_config
-from .harness import RunResult, compare_oracle, run_experiment
+from .harness import RunResult, run_experiment
 from .cosmology import (
     CosmoState,
     FockBasis,
@@ -83,7 +83,6 @@ from .cosmology import (
     cosmo_weak_limit,
     diagonalize_remaining,
     enumerate_fock,
-    mode_frequency,
     quadratic_cap_potential,
     random_cosmo_state,
     solve_scale_factor,

@@ -8,13 +8,17 @@ payload) keep their own text, and integers by value.  Besides the column
 itself the writer holds only those texts and one index per cell; rows are
 gathered from them ``_BLOCK_ROWS`` at a time.
 
-Tables are parsed by one ``np.loadtxt`` call; only a refused table is
-walked line by line, to name the line at fault.
+Tables are read by one ``np.loadtxt`` call, with ``,`` as the only
+delimiter and no quotes or comments; a header check on the first line and
+a cell count of the first row come before it.  numpy pulls the rows one
+line at a time through a line counter, so every refusal names the file
+line at fault; only a refused table is read again, up to that line, to
+count its cells.
 """
 from __future__ import annotations
 
-import csv
 import itertools
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -73,48 +77,41 @@ def write_csv(path, header: list[str], columns) -> None:
 
 def read_csv(path: Path, header: list[str]) -> np.ndarray:
     """The float64 ``(rows, len(header))`` table of a file whose first line
-    must be ``header``; blank lines are skipped."""
+    must be ``header``; blank lines are skipped.  ``np.loadtxt`` judges
+    every row, and a refusal names the file line that it stopped at."""
     if not path.exists():
         raise ConfigError(f"table not found: {path}")
     with open(path, newline="") as fh:
-        first = next(csv.reader(fh), None)
-        if first is None:
+        first = fh.readline()
+        if not first:
             raise ConfigError(f"table {path} is empty")
-        if [c.strip() for c in first] != header:
-            raise ConfigError(f"table {path} has header {first}, expected {header}")
-        # loadtxt warns on input without rows, so find the first row here
-        for row in fh:
+        names = first.rstrip("\r\n").split(",")
+        if [c.strip() for c in names] != header:
+            raise ConfigError(f"table {path} has header {names}, expected {header}")
+        counter = itertools.count(2)
+        lines = zip(counter, fh)
+        # loadtxt warns on input without rows and takes the first row's cell
+        # count for every row, so find and count the first row here
+        for number, row in lines:
             if row.strip("\r\n"):
                 break
         else:
             return np.empty((0, len(header)))
-        try:
-            table = np.loadtxt(itertools.chain([row], fh), delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            reason = str(exc)
-        else:
-            if table.shape[1] == len(header):
-                return table
-            reason = f"rows have {table.shape[1]} cells, expected {len(header)}"
-    _refuse_rows(path, header)
-    raise ConfigError(f"table {path}: {reason}")
-
-
-def _refuse_rows(path: Path, header: list[str]) -> None:
-    """Raise for the first line of a table whose cell count is wrong or
-    whose cells ``float`` refuses."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ConfigError(
-                    f"table {path} line {reader.line_num} has {len(row)} cells, "
-                    f"expected {len(header)} ({','.join(header)})"
-                )
+        if row.count(",") + 1 == len(header):
             try:
-                [float(c) for c in row]
+                return np.loadtxt(itertools.chain([row], map(itemgetter(1), lines)),
+                                  delimiter=",", comments=None, ndmin=2)
             except ValueError as exc:
-                raise ConfigError(f"table {path} line {reader.line_num}: {exc}") from None
+                reason = exc
+            # loadtxt pulls one line at a time, so the counter stopped at
+            # the refused line
+            number = next(counter) - 1
+            fh.seek(0)
+            row = next(itertools.islice(fh, number - 1, None))
+    cells = row.count(",") + 1
+    if cells != len(header):
+        raise ConfigError(
+            f"table {path} line {number} has {cells} cells, "
+            f"expected {len(header)} ({','.join(header)})"
+        )
+    raise ConfigError(f"table {path} line {number}: {reason}")

@@ -219,11 +219,6 @@ def solve_scale_factor(
 # scalar-field sector at the frozen geometry
 
 
-def mode_frequency(k: float, a: float, m: float) -> float:
-    """Oscillator frequency sqrt(m^2 a^2 + k^2) of one field mode."""
-    return float(np.sqrt((m * a) ** 2 + k**2))
-
-
 @dataclass(frozen=True)
 class ModeSet:
     """Finite sample of field-mode moduli evaluated at the frozen scale."""
@@ -297,10 +292,6 @@ class FockBasis:
     @property
     def size(self) -> int:
         return self.energies.size
-
-    def recomputed_energies(self) -> np.ndarray:
-        freqs = self.mode_set.frequencies()
-        return np.array([np.dot(occ, freqs) for occ in self.occupations])
 
     def shells(self, eps_shell: float = DEFAULT_EPS_SHELL) -> list[tuple[float, slice]]:
         """Cut the sorted spectrum wherever neighbouring energies differ by

@@ -175,15 +175,6 @@ def run_experiment(config: dict, out_dir, seed: int | None = None) -> RunResult:
     return RunResult(manifest=manifest, failures=run.failures)
 
 
-def compare_oracle(config: dict, out_dir, seed: int | None = None) -> dict:
-    """Run an 'oracle' config and return its deviation report."""
-    if config.get("kind") != "oracle":
-        raise ConfigError("compare_oracle needs a config of kind 'oracle'")
-    run_experiment(config, out_dir, seed=seed)
-    with open(Path(out_dir) / "oracle.json") as fh:
-        return json.load(fh)
-
-
 # ---------------------------------------------------------------------------
 # kind runners
 

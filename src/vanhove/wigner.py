@@ -69,10 +69,6 @@ class PhaseGrid:
         return (self.p_range[1] - self.p_range[0]) / (self.np - 1)
 
     @property
-    def cell_area(self) -> float:
-        return self.dq * self.dp
-
-    @property
     def cell_diagonal(self) -> float:
         return float(np.hypot(self.dq, self.dp))
 

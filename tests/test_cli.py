@@ -576,13 +576,10 @@ class TestOracleKind:
         assert report["pass"] and report["max_abs_deviation"] < 1e-10
 
     def test_compare_oracle_returns_report(self, tmp_path):
-        from vanhove import compare_oracle
-
         cfg = {"kind": "oracle", "target": "pair", "n": 8, "trials": 3, "seed": 5}
-        report = compare_oracle(cfg, tmp_path / "out")
+        run_experiment(cfg, tmp_path / "out")
+        report = json.loads((tmp_path / "out" / "oracle.json").read_text())
         assert report["pass"] and report["trials"] == 3
-        with pytest.raises(ConfigError):
-            compare_oracle({"kind": "evolve"}, tmp_path / "out2")
 
     def test_cosmo_oracle_passes(self, tmp_path):
         cfg = {

@@ -17,7 +17,6 @@ from vanhove import (
     enumerate_fock,
     free_flight_ridge,
     mass_within,
-    mode_frequency,
     multi_invariant_density,
     quadratic_cap_potential,
     random_cosmo_state,
@@ -177,9 +176,11 @@ class TestScaleFactor:
 
 class TestModes:
     def test_frequency_values(self):
-        assert mode_frequency(3.0, 2.0, 1.0) == pytest.approx(np.sqrt(13.0), abs=1e-12)
-        assert mode_frequency(0.0, 2.5, 1.5) == pytest.approx(3.75)
-        assert mode_frequency(2.0, 0.0, 1.0) == pytest.approx(2.0)
+        # sqrt(m^2 a^2 + k^2); ModeSet needs a_out > 0, so the massless
+        # case stands in for a = 0
+        frequencies = ModeSet([3.0], m=1.0, a_out=2.0).frequencies()
+        assert frequencies == pytest.approx([np.sqrt(13.0)], abs=1e-12)
+        assert ModeSet([2.0], m=0.0, a_out=1.0).frequencies() == pytest.approx([2.0])
 
     def test_mode_set_validation(self):
         with pytest.raises(ValueError):
@@ -246,7 +247,8 @@ class TestEnumerateFock:
 
     def test_recomputable_energies(self):
         basis = enumerate_fock(ModeSet(sqrt_prime_modes(3), m=1.0, a_out=7.0), n_max=2)
-        assert np.max(np.abs(basis.energies - basis.recomputed_energies())) < 1e-12
+        reference = np.asarray(basis.occupations) @ basis.mode_set.frequencies()
+        assert np.max(np.abs(basis.energies - reference)) < 1e-12
 
     def test_n_max_validation(self):
         with pytest.raises(ValueError):

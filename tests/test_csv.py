@@ -138,20 +138,23 @@ def test_read_csv_cell_syntax(tmp_path):
 @pytest.mark.parametrize("cell", ["1_0", "\uff11", '"1.0"'])
 def test_read_csv_refuses_what_float_alone_accepts(tmp_path, cell):
     # underscores and non-ASCII digits (which float() takes) and quoted
-    # cells (which the csv module unquoted) are refused
+    # cells are refused, on their own line
     path = tmp_path / "t.csv"
     path.write_text(f"a,b\n1.0,2.0\n1.0,{cell}\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="could not convert"):
+    with pytest.raises(ConfigError, match="line 3: could not convert"):
         read_csv(path, ["a", "b"])
 
 
+@pytest.mark.filterwarnings("error")
 def test_read_csv_blank_lines_and_line_endings(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"a , b\r\n\r\n1,2\r\n\n3,4")
     assert read_csv(path, ["a", "b"]).tolist() == [[1.0, 2.0], [3.0, 4.0]]
-    path.write_text("a,b\n\n\n")
-    table = read_csv(path, ["a", "b"])
-    assert table.shape == (0, 2) and table.dtype == np.float64
+    # a header alone, or followed only by blank lines, is an empty table
+    for text in ["a,b\n\n\n", "a,b\r\n\r\n", "a,b\n", "a,b"]:
+        path.write_text(text, newline="")
+        table = read_csv(path, ["a", "b"])
+        assert table.shape == (0, 2) and table.dtype == np.float64
 
 
 @pytest.mark.parametrize("text, message", [
@@ -160,9 +163,17 @@ def test_read_csv_blank_lines_and_line_endings(tmp_path):
     ("a,b\n1,2\n\n3\n", "line 4 has 1 cells, expected 2 (a,b)"),
     ("a,b\n1,2\n3,4,5\n", "line 3 has 3 cells, expected 2 (a,b)"),
     ("a,b\n1,2,\n", "line 2 has 3 cells, expected 2 (a,b)"),
-    ("a,b\n1,2\n\n3,x\n", "line 4: could not convert string to float: 'x'"),
+    ("a,b\n1,2\n\n3,x\n", "line 4: could not convert string 'x' to float64 at row 1, column 2."),
     ("a,b\n1,2\n  \n", "line 3 has 1 cells, expected 2 (a,b)"),
-    ("a,b\n1,2\n#3,4\n", "line 3: could not convert string to float: '#3'"),
+    ("a,b\n1,2\n#3,4\n", "line 3: could not convert string '#3' to float64 at row 1, column 1."),
+    # loadtxt takes the first row's cell count for every later row
+    pytest.param("a,b\n3\n1,2\n", "line 2 has 1 cells, expected 2 (a,b)", id="short-first-row"),
+    pytest.param("a,b\n1,2,3\n4,5,6\n", "line 2 has 3 cells, expected 2 (a,b)",
+                 id="every-row-long"),
+    # numpy's rows count from the first data row; the line count is the file's
+    pytest.param("a,b\n" + "1,2\n" * 50_000 + "3,x\n" + "1,2\n" * 10,
+                 "line 50002: could not convert string 'x' to float64 at row 50000, column 2.",
+                 id="bad-cell-after-50000-rows"),
 ])
 def test_read_csv_refusals_name_the_line(tmp_path, text, message):
     path = tmp_path / "t.csv"

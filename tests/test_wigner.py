@@ -55,7 +55,6 @@ class TestPhaseGrid:
         grid = PhaseGrid((0, 1), (0, 2), 11, 21)
         assert grid.dq == pytest.approx(0.1)
         assert grid.dp == pytest.approx(0.1)
-        assert grid.cell_area == pytest.approx(0.01)
 
     def test_field_shape_enforced(self):
         grid = PhaseGrid((0, 1), (0, 1), 4, 5)

@@ -60,6 +60,14 @@ RUNS = {
 }
 
 
+def write_rows(path: Path, header: str, rows: list[str]) -> None:
+    """Write LF-ended ``rows`` under ``header`` with a blank line before
+    them and the first one ended by CRLF, so the reader's skip of blank
+    lines and of carriage returns runs too."""
+    rows[0] = rows[0].replace("\n", "\r\n")
+    path.write_text(header + "\n\n" + "".join(rows), newline="")
+
+
 def write_table(path: Path) -> None:
     """A smooth real symmetric kernel that is not separable,
     exp(-((w - 5)^2 + (w' - 5)^2) / 2 - (w - w')^2), on the dense-table
@@ -69,8 +77,8 @@ def write_table(path: Path) -> None:
     w, v = np.meshgrid(omega, omega, indexing="ij")
     values = np.exp(-((w - 5.0) ** 2 + (v - 5.0) ** 2) / 2.0 - (w - v) ** 2)
     columns = (a.ravel().tolist() for a in (w, v, values))
-    rows = (f"{a!r},{b!r},{c!r},0.0\n" for a, b, c in zip(*columns))
-    path.write_text("omega,omega_prime,re,im\n" + "".join(rows))
+    rows = [f"{a!r},{b!r},{c!r},0.0\n" for a, b, c in zip(*columns)]
+    write_rows(path, "omega,omega_prime,re,im", rows)
 
 
 def write_potential(path: Path) -> None:
@@ -79,8 +87,8 @@ def write_potential(path: Path) -> None:
     written as reprs like the kernel table."""
     a = np.linspace(0.0, 1.0, 33)
     v = 2.0 * (1.0 - a**2) + 0.5 * np.sin(np.pi * a) ** 2
-    rows = (f"{x!r},{y!r}\n" for x, y in zip(a.tolist(), v.tolist()))
-    path.write_text("a,V\n" + "".join(rows))
+    rows = [f"{x!r},{y!r}\n" for x, y in zip(a.tolist(), v.tolist())]
+    write_rows(path, "a,V", rows)
 
 
 def gate(workdir: Path) -> dict:
