@@ -1,12 +1,44 @@
 """CSV artifacts and input tables: a header line, then LF-terminated rows.
 
-Floats are written as ``%.16e`` (17 significant digits, so every float64
-reads back to the same value), integers as ``%d`` and strings and objects
-as ``%s``.  A numeric column is formatted once per distinct value: floats
-are keyed by their bit pattern, so ``-0.0`` and ``0.0`` (and every NaN
-payload) keep their own text, and integers by value.  Besides the column
-itself the writer holds only those texts and one index per cell; rows are
-gathered from them ``_BLOCK_ROWS`` at a time.
+Floats are written as CPython's ``"%.16e" % x`` (17 significant digits,
+so every float64 reads back to the same value), integers as ``%d`` and
+strings and objects as ``%s``.  A numeric column is formatted once per
+distinct value: floats are keyed by their bit pattern, so ``-0.0`` and
+``0.0`` (and every NaN payload) keep their own text, and integers by value.
+
+Float digits come from numpy, for all the distinct floats of a table in
+one pass, ``_CHUNK`` (4,096) values at a time.  For finite x != 0 with
+k = floor(log10 |x|), y = |x| * 10**(16 - k) lies in [1e16, 1e17) and its
+nearest integer D is the digit string.  ``np.frexp`` splits |x| = m * 2**e
+exactly; 10**(16 - k) is a double-double mantissa hi + lo in [0.5, 1)
+times 2**b, built exactly from Python ints the first time an exponent
+occurs.  A Veltkamp/Dekker two-product gives m * hi exactly, m * lo is
+added, and ``np.ldexp`` scales the sum, as y_hi + y_lo, by 2**(e + b).
+The relative error is below 2**-102, so below 1.5e-14 on y < 1e17.  Above
+2**53 y_hi is an even integer, and D = y_hi + floor(y_lo) + (frac > 1/2),
+frac = y_lo - floor(y_lo).  Where log10 missed k by one, y falls outside
+[1e16, 1e17) and is formed again with k +- 1; D = 1e17 becomes 1e16 at
+k + 1.  Only a cell with |frac - 1/2| < ``_TIE_BAND`` (1e-9, about 10**5
+times the error) can round the wrong way; those few are decided exactly,
+half to even as CPython does, from ``float.as_integer_ratio()``.  Exact
+ties exist: 2**-25 prints as ``2.9802322387695312e-08``.  The 16 digits
+after the lead digit become two words of 8 ASCII digits (SWAR: split at
+10**4, then 10**2, then 10); with the lead digit, ``.`` and the exponent
+text ``e+dd`` or ``e-ddd`` they fill three 64-bit words per value, and a
+set sign bit (not on NaN) shifts the text one byte up behind a ``-``.
+Zero, ``nan`` (every payload), ``inf`` and ``-inf`` get CPython's texts.
+
+Rows are assembled as bytes.  Each column's distinct texts become slots
+of its longest text plus one byte: the text, the separator (``,`` or, in
+the last column, LF) and pad bytes.  ``_BLOCK_ROWS`` (1,024) rows at a
+time, the slots are gathered by cell into one structured block and the
+pad bytes are dropped, unless every slot is full.  Str cells are encoded
+as the text-mode file would encode them, and the pad is a byte from 0x80
+to 0xFF that no str cell uses (0xFF, which UTF-8 never writes, unless a
+single-byte encoding holds it).  Besides the columns, the writer holds the
+slots, one index per cell and two blocks of about 1,024 rows of text
+(70 KB for three float columns); a formatting chunk holds a few hundred
+bytes per value, about 1 MB.
 
 Tables are read by one ``np.loadtxt`` call, with ``,`` as the only
 delimiter and no quotes or comments; a header check on the first line and
@@ -25,28 +57,179 @@ import numpy as np
 
 from .errors import ConfigError
 
-# Rows are gathered and written this many at a time: joining a whole large
-# phase-field dump as one string holds all of its text at once and raises
-# the peak RSS of the run.
+# Rows are gathered and written this many at a time, and floats formatted
+# this many at a time: a whole large phase-field dump at once raises the
+# peak RSS of the run.
 _BLOCK_ROWS = 1024
-FLOAT_FORMAT = "%.16e"
-_FORMATS = {"f": FLOAT_FORMAT, "i": "%d", "u": "%d"}
+_CHUNK = 4096
+# |frac - 1/2| below which the rounding of y is decided exactly
+_TIE_BAND = 1e-9
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter for 53-bit mantissas
+# 10**j, j = 16 - k, for every decimal exponent k of a finite float64 and
+# one either side (j from -293 to 341): hi in 26-bit halves, lo, and b;
+# NaN until an exponent is first used
+_J_MIN = -293
+_POWERS = tuple(np.full(635, np.nan) for _ in range(3))
+_POWER_EXPONENTS = np.zeros(635, dtype=np.int32)
+# "e+dd" / "e-ddd" as little-endian words, and the length of the unsigned
+# text (lead digit, ".", 16 digits, exponent), by k + 324
+_EXPONENTS = [b"e%+03d" % k for k in range(-324, 309)]
+_EXPONENT_WORDS = np.array(_EXPONENTS, dtype="S8").view(np.uint64)
+_TEXT_LENGTHS = np.array([18 + len(text) for text in _EXPONENTS])
+_NAN, _INF, _MINUS = (int.from_bytes(b, "little") for b in (b"nan", b"inf", b"-"))
 
 
-def _distinct_texts(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The texts of a numeric column's distinct values (an object array)
-    and, for each cell, the index of its text."""
-    fmt = _FORMATS[col.dtype.kind]
-    if col.dtype.kind == "f":
-        keys, index = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-        distinct = keys.view(col.dtype)
-    else:
-        distinct, index = np.unique(col, return_inverse=True)
-    # one format operation for all the values, cut at the newlines: a
-    # format call per value costs about a quarter more on all-distinct columns
-    values = distinct.tolist()
-    texts = ((fmt + "\n") * len(values) % tuple(values)).split("\n")[:-1]
-    return np.array(texts, dtype=object), index.ravel()
+def _build_powers(js) -> None:
+    """Fill the double-double 10**j for each j, exactly from Python ints."""
+    for j in js.tolist():
+        if j >= 0:
+            num = 10**j
+            b = num.bit_length()
+            den = 1 << b
+        else:
+            den = 10**-j
+            b = 1 - den.bit_length()
+            num = 1 << -b
+        hi = num / den  # int true division rounds correctly
+        hi_num, hi_den = hi.as_integer_ratio()
+        lo = (num * hi_den - hi_num * den) / (den * hi_den)
+        high = _SPLIT * hi - (_SPLIT * hi - hi)
+        for table, value in zip(_POWERS, (high, hi - high, lo)):
+            table[j - _J_MIN] = value
+        _POWER_EXPONENTS[j - _J_MIN] = b
+
+
+def _scaled(m, e, k):
+    """y = m * 2**e * 10**(16 - k) as y_hi + y_lo, to a relative 2**-102."""
+    index = 16 - k - _J_MIN
+    missing = np.isnan(_POWERS[0].take(index))
+    if missing.any():
+        _build_powers(np.unique(16 - k[missing]))
+    high, low, lo = (table.take(index) for table in _POWERS)
+    hi = high + low
+    split = _SPLIT * m
+    m_high = split - (split - m)
+    m_low = m - m_high
+    p = m * hi
+    # Dekker's two-product: p + p_err == m * hi exactly
+    p_err = ((m_high * high - p) + m_high * low + m_low * high) + m_low * low
+    t = p_err + m * lo
+    y_hi = p + t
+    y_lo = t - (y_hi - p)
+    scale = e + _POWER_EXPONENTS.take(index)
+    return np.ldexp(y_hi, scale), np.ldexp(y_lo, scale)
+
+
+def _digits(a):
+    """The 17 significant digits D of each finite a > 0, rounded half to
+    even, as an integer in [1e16, 1e17), and the exponent k:
+    a ~ D * 10**(k - 16)."""
+    m, e = np.frexp(a)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    y_hi, y_lo = _scaled(m, e, k)
+    # log10 can miss k by one next to a power of ten
+    low = (y_hi < 1e16) | ((y_hi == 1e16) & (y_lo < 0))
+    off = np.flatnonzero(low | (y_hi >= 1e17))
+    if off.size:
+        k[off] += np.where(low[off], -1, 1)
+        y_hi[off], y_lo[off] = _scaled(m[off], e[off], k[off])
+    whole = np.floor(y_lo)
+    frac = y_lo - whole
+    digits = y_hi.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    for i in np.flatnonzero(np.abs(frac - 0.5) < _TIE_BAND).tolist():
+        num, den = float(a[i]).as_integer_ratio()
+        j = 16 - int(k[i])
+        num, den = (num * 10**j, den) if j >= 0 else (num, den * 10**-j)
+        q, r = divmod(num, den)
+        digits[i] = q + (2 * r > den or (2 * r == den and q % 2 == 1))
+    top = digits == 10**17
+    digits[top] = 10**16
+    return digits, k + top
+
+
+def _ascii8(v):
+    """Values below 10**8 as words of 8 ASCII digits, the leading digit in
+    the lowest byte: split at 10**4 into 32-bit lanes, then at 10**2 into
+    16-bit lanes, then at 10 into bytes."""
+    w = v // 10000 | v % 10000 << 32
+    q = (w * 5243) >> 19 & 0x0000007F0000007F
+    w = q | w - q * 100 << 16
+    q = (w * 103) >> 10 & 0x000F000F000F000F
+    return q | w - q * 10 << 8 | 0x3030303030303030
+
+
+def _format_chunk(x):
+    bits = x.view(np.uint64)
+    finite = np.isfinite(x)
+    regular = np.flatnonzero(finite & (x != 0))
+    digits = np.zeros(x.size, dtype=np.int64)
+    k = np.zeros(x.size, dtype=np.int64)
+    digits[regular], k[regular] = _digits(np.abs(x[regular]))
+    digits = digits.astype(np.uint64)
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    upper = rest // 10**8
+    first, second = _ascii8(upper), _ascii8(rest - upper * 10**8)
+    w0 = lead | 0x2E30 | first << 16
+    w1 = first >> 48 | second << 16
+    w2 = second >> 48 | _EXPONENT_WORDS.take(k + 324) << 16
+    lengths = _TEXT_LENGTHS.take(k + 324)
+    special = np.flatnonzero(~finite)
+    w0[special] = np.where(np.isnan(x[special]), _NAN, _INF)
+    w1[special] = w2[special] = 0
+    lengths[special] = 3
+    # a set sign bit (not on NaN) shifts the text one byte up behind a "-"
+    minus = (bits >> 63 == 1) & ~np.isnan(x)
+    one = minus.astype(np.uint64)
+    shift = one << 3
+    words = np.stack([w0 << shift | one * _MINUS, w1 << shift | (w0 >> 56) * one,
+                      w2 << shift | (w1 >> 56) * one], axis=1)
+    return words, lengths + minus
+
+
+def _format(values):
+    """``"%.16e" % v`` for each float64 value, as (n, 3) uint64 words of
+    NUL-padded text and the text lengths."""
+    parts = [_format_chunk(values[i:i + _CHUNK]) for i in range(0, values.size, _CHUNK)]
+    if not parts:
+        return np.empty((0, 3), dtype=np.uint64), np.empty(0, dtype=np.int64)
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def float_texts(values) -> list[str]:
+    """``"%.16e" % v`` for each of ``values``, from the writer's formatter."""
+    words, _ = _format(np.asarray(values, dtype=np.float64).ravel())
+    return words.view("S24").ravel().astype(str).tolist()
+
+
+def _column_texts(columns, encoding: str):
+    """Per column, its distinct texts as a NUL-padded uint8 array, their
+    lengths, and each cell's index into them.  The floats of all the
+    columns go through one formatter call."""
+    distinct = [(np.unique(col.view(f"u{col.itemsize}"), return_inverse=True), col.dtype)
+                for col in columns if col.dtype.kind == "f"]
+    values = [keys.view(dtype).astype(np.float64) for (keys, _), dtype in distinct]
+    words, lengths = _format(np.concatenate(values or [np.empty(0)]))
+    words, floats, start = words.view(np.uint8), iter(distinct), 0
+    for col in columns:
+        if col.dtype.kind == "f":
+            (keys, index), _ = next(floats)
+            stop = start + keys.size
+            yield words[start:stop], lengths[start:stop], index.ravel()
+            start = stop
+            continue
+        if col.dtype.kind in "iu":
+            distinct, index = np.unique(col, return_inverse=True)
+            values = distinct.tolist()
+            # one format operation for all the values, cut at the newlines
+            raw = [t.encode() for t in (("%d\n" * len(values)) % tuple(values)).split("\n")[:-1]]
+            index = index.ravel()
+        else:
+            raw = [str(v).encode(encoding) for v in col.tolist()]
+            index = np.arange(len(raw))
+        text = np.array(raw, dtype="S")
+        yield (text.view(np.uint8).reshape(len(raw), text.itemsize),
+               np.array([len(r) for r in raw], dtype=np.int64), index)
 
 
 def write_csv(path, header: list[str], columns) -> None:
@@ -56,23 +239,34 @@ def write_csv(path, header: list[str], columns) -> None:
     rows = columns[0].shape[0]
     if len(columns) != len(header) or any(c.shape != (rows,) for c in columns):
         raise ValueError(f"need one 1-d column of equal length per name in {header}")
-    cells = [None if c.dtype.kind in "UO" else _distinct_texts(c) for c in columns]
-    # one block of cell texts, with the separators between them
-    text = np.empty((min(rows, _BLOCK_ROWS), 2 * len(columns)), dtype=object)
-    text[:, 1::2] = ","
-    text[:, -1] = "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
+        fh.flush()
+        texts = list(_column_texts(columns, fh.encoding))
+        used = np.zeros(256, dtype=bool)
+        for col, (text, _, _) in zip(columns, texts):
+            if col.dtype.kind not in "fiu":
+                used[text.ravel()] = True
+        free = np.flatnonzero(~used[128:])
+        if not free.size:
+            raise ValueError("str cells use every byte from 0x80 to 0xFF; none is left to pad with")
+        pad = 128 + int(free[-1])
+        slots, full = [], True
+        for j, (text, lengths, _) in enumerate(texts):
+            width = int(lengths.max(initial=0)) + 1
+            slot = np.zeros((len(lengths), width), dtype=np.uint8)
+            slot[:, : min(width, text.shape[1])] = text[:, :width]
+            slot[np.arange(width) > lengths[:, None]] = pad
+            slot[np.arange(len(lengths)), lengths] = ord("\n" if j == len(texts) - 1 else ",")
+            slots.append(slot.view(f"V{width}").ravel())
+            full &= bool((lengths == width - 1).all())
+        block = np.empty(min(rows, _BLOCK_ROWS), dtype=[("", s.dtype) for s in slots])
         for start in range(0, rows, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, rows)
-            block = text[: stop - start]
-            for j, (col, coded) in enumerate(zip(columns, cells)):
-                if coded is None:
-                    block[:, 2 * j] = [str(v) for v in col[start:stop].tolist()]
-                else:
-                    texts, index = coded
-                    np.take(texts, index[start:stop], out=block[:, 2 * j])
-            fh.write("".join(block.ravel().tolist()))
+            part = block[: rows - start]
+            for name, slot, (_, _, index) in zip(block.dtype.names, slots, texts):
+                part[name] = slot.take(index[start:start + _BLOCK_ROWS])
+            data = part.view(np.uint8)
+            fh.buffer.write(data if full else data[data != pad])
 
 
 def read_csv(path: Path, header: list[str]) -> np.ndarray:

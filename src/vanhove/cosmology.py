@@ -15,6 +15,7 @@ resolve into an ensemble of weighted linear trajectories.
 """
 from __future__ import annotations
 
+import itertools
 # nothing here runs a pool; perfbench/spans.py patches this name when it traces
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._csv import FLOAT_FORMAT, write_csv
+from ._csv import float_texts, write_csv
 from .errors import (
     IncompatibleBasisError,
     InvalidPotentialError,
@@ -504,7 +505,8 @@ class TrajectoryEnsemble:
 
     def to_csv(self, path) -> None:
         header = ["component", "l_values", "a0", "probability"]
-        l_cells = [";".join(FLOAT_FORMAT % v for v in e.l_values) for e in self.entries]
+        texts = iter(float_texts([v for e in self.entries for v in e.l_values]))
+        l_cells = [";".join(itertools.islice(texts, len(e.l_values))) for e in self.entries]
         a0 = [e.a0 for e in self.entries]
         probability = [e.probability for e in self.entries]
         write_csv(path, header, [range(len(a0)), l_cells, a0, probability])

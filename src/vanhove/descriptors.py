@@ -133,11 +133,12 @@ def observable_from_descriptors(
     return Observable(sing, reg, self_adjoint=self_adjoint)
 
 
-def _table(grid: EnergyGrid, path: Path, header: list[str]) -> np.ndarray:
+def _table(grid: EnergyGrid, path: Path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """A table's values re + i im at the grid cells its omega columns match,
-    all rows at once; NaN where no row lands, the last row where several do.
-    The first omega (NaN included) off the grid by more than _MATCH_RTOL is
-    refused."""
+    all rows at once, the last row where several do, and the mask of cells
+    that some row lands on.  The first omega (NaN included) off the grid by
+    more than _MATCH_RTOL is refused, and so is the first row whose re or
+    im is not finite."""
     table = read_csv(path, header)
     omegas = table[:, :-2]
     k = _nearest(grid.points, omegas)
@@ -145,20 +146,26 @@ def _table(grid: EnergyGrid, path: Path, header: list[str]) -> np.ndarray:
     if off.any():
         omega = float(omegas.flat[np.argmax(off)])
         raise ConfigError(f"table {path}: omega={omega!r} is not a grid point")
-    values = np.full((grid.size,) * omegas.shape[1], np.nan, dtype=complex)
+    bad = ~np.isfinite(table[:, -2:]).all(axis=1)
+    if bad.any():
+        cell = ", ".join(f"{name}={float(w)!r}" for name, w in zip(header, omegas[np.argmax(bad)]))
+        raise ConfigError(f"table {path}: re/im at {cell} is not finite")
+    values = np.zeros((grid.size,) * omegas.shape[1], dtype=complex)
     values[tuple(k.T)] = table[:, -2] + 1j * table[:, -1]
-    return values
+    covered = np.zeros(values.shape, dtype=bool)
+    covered[tuple(k.T)] = True
+    return values, covered
 
 
 def _singular_from_csv(grid: EnergyGrid, path: Path) -> SingularKernel:
-    values = _table(grid, path, ["omega", "re", "im"])
-    if np.any(np.isnan(values)):
+    values, covered = _table(grid, path, ["omega", "re", "im"])
+    if not covered.all():
         raise ConfigError(f"table {path} does not cover every grid point")
     return SingularKernel(grid, values)
 
 
 def _regular_from_csv(grid: EnergyGrid, path: Path) -> RegularKernel:
-    values = _table(grid, path, ["omega", "omega_prime", "re", "im"])
-    if np.any(np.isnan(values)):
+    values, covered = _table(grid, path, ["omega", "omega_prime", "re", "im"])
+    if not covered.all():
         raise ConfigError(f"table {path} does not cover the full grid square")
     return RegularKernel(grid, values)

@@ -183,6 +183,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "kern.csv line 2 has 4 cells, expected 3 (omega,re,im)" in err
 
+    def test_kernel_table_nan_value_is_2(self, tmp_path, capsys):
+        (tmp_path / "kern.csv").write_text("omega,re,im\n0.0,nan,0.0\n10.0,1.0,0.0\n")
+        cfg = {
+            "kind": "validate",
+            "grid": {"omega_max": 10.0, "n": 2},
+            "state": {"singular": {"type": "table", "path": "kern.csv"}},
+        }
+        rc = main(["validate", "--config", str(write_config(tmp_path, cfg)),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "kern.csv: re/im at omega=0.0 is not finite" in capsys.readouterr().err
+
     def test_oracle_requires_seed(self, tmp_path, capsys):
         cfg = {"kind": "oracle", "target": "pair", "n": 8, "trials": 2}
         rc = main(["oracle", "--config", str(write_config(tmp_path, cfg)),

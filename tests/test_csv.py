@@ -1,12 +1,15 @@
-"""The artifact CSV format: block-wise, distinct-value writing against a
-per-row reference, exact read-back of float columns, and the cell syntax
-and refusals of the table reader."""
+"""The artifact CSV format: the numpy float formatter against CPython's
+``"%.16e" % x`` over every binade, decimal exponent and exact tie,
+block-wise, distinct-value writing against a per-row reference, exact
+read-back of float columns, and the cell syntax and refusals of the table
+reader."""
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from vanhove import PhaseField, PhaseGrid
-from vanhove._csv import _BLOCK_ROWS, read_csv, write_csv
+from vanhove import _csv
+from vanhove._csv import _BLOCK_ROWS, float_texts, read_csv, write_csv
 from vanhove.errors import ConfigError
 from vanhove.wigner import phase_field_to_csv
 
@@ -116,6 +119,91 @@ def test_phase_field_signed_zeros_match_per_row_format(tmp_path):
     cells = zip(np.repeat(pgrid.q, 4).tolist(), np.tile(pgrid.p, 3).tolist(),
                 values.ravel().tolist())
     expected = "q,p,value\n" + "".join(f"{q:.16e},{p:.16e},{v:.16e}\n" for q, p, v in cells)
+    assert path.read_bytes() == expected.encode()
+
+
+def assert_formats_as_cpython(values):
+    values = np.asarray(values, dtype=np.float64)
+    texts = float_texts(values)
+    expected = ["%.16e" % v for v in values.tolist()]
+    wrong = [(v, t, e) for v, t, e in zip(values.tolist(), texts, expected) if t != e]
+    assert not wrong, f"{len(wrong)} of {len(expected)} differ, first {wrong[:3]}"
+
+
+def test_formatter_every_binade_and_its_neighbours():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    assert_formats_as_cpython(np.concatenate([values, -values]))
+
+
+def test_formatter_every_decimal_exponent():
+    # log10 is nearest to missing k at the powers of ten and one ulp either side
+    powers = 10.0 ** np.arange(-323, 309)
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    assert_formats_as_cpython(np.concatenate([values, -values]))
+
+
+def test_formatter_random_bit_patterns():
+    # NaN payloads, subnormals and both signs, as they come
+    bits = np.random.default_rng(19).integers(0, 2**64, 10**5, dtype=np.uint64)
+    assert_formats_as_cpython(bits.view(np.float64))
+
+
+def test_formatter_specials_subnormals_and_three_digit_exponents():
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+    subnormals = np.array([5e-324, 1e-310, 2.2250738585072009e-308, 2.225073858507201e-308])
+    values = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 1e-100, 9.999999999999999e99,
+                              1e100, 1.7976931348623157e308, 123.0, 1.0, 0.1],
+                             nans, subnormals, -subnormals])
+    assert_formats_as_cpython(values)
+    assert float_texts([-0.0, np.nan, -np.inf])[:3] == ["-0.0000000000000000e+00", "nan", "-inf"]
+    assert float_texts([]) == []
+
+
+def exact_ties():
+    """x = m * 2**-j with m odd and below 2**53, where m * 5**j, the digits
+    of x, has 18 digits ending in 5: x lies exactly halfway between two
+    17-digit texts.  Each value comes with whether half-even rounds up."""
+    ties = {}
+    for j in range(2, 26):
+        low, high = -(-10**17 // 5**j), min((10**18 - 1) // 5**j, 2**53 - 1)
+        for m in {low, low + 1, low + 2, low + 3, (low + high) // 2, (low + high) // 2 + 1,
+                  high - 1, high}:
+            if m % 2 == 1 and low <= m <= high:
+                ties[np.ldexp(float(m), -j)] = (m * 5**j // 10) % 2 == 1
+    return ties
+
+
+def test_formatter_exact_ties_round_half_to_even(monkeypatch):
+    ties = exact_ties()
+    assert 2.0**-25 in ties and 3 * 2.0**-24 in ties
+    assert float_texts([2.0**-25]) == ["2.9802322387695312e-08"]
+    # ties that round up and ties that round down
+    assert 0 < sum(ties.values()) < len(ties)
+    values = np.array(list(ties))
+    assert_formats_as_cpython(np.concatenate([values, -values]))
+    # without the exact branch half of them would round down, so the texts
+    # above came from it
+    monkeypatch.setattr(_csv, "_TIE_BAND", 0.0)
+    wrong = [v for v, t in zip(values.tolist(), float_texts(values)) if t != "%.16e" % v]
+    assert sorted(wrong) == sorted(v for v, up in ties.items() if up)
+
+
+def test_write_csv_bulk_matches_per_row_format(tmp_path):
+    # more than two blocks of random bit patterns (every text width, the
+    # 25-byte slot of a negative three-digit exponent included), integers and
+    # str cells that UTF-8 writes with bytes above 0x7F
+    rng = np.random.default_rng(7)
+    rows = 2 * _BLOCK_ROWS + 17
+    floats = rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
+    floats[:4] = [-1e-300, np.nan, -np.inf, -0.0]
+    ints = rng.integers(-(2**63), 2**63 - 1, rows, dtype=np.int64)
+    strs = np.resize(np.array(["", "a;b", "\u00e9\u00ff", "\u2203x", "1.5e-3"], dtype=object), rows)
+    header = ["x", "n", "s"]
+    path = tmp_path / "out.csv"
+    write_csv(path, header, [floats, ints, strs])
+    expected = per_row_reference(header, floats.tolist(), ints.tolist(), strs.tolist())
     assert path.read_bytes() == expected.encode()
 
 

@@ -145,6 +145,31 @@ class TestTables:
         with pytest.raises(ConfigError, match="cover"):
             singular_from_descriptor(grid, {"type": "table", "path": str(path)})
 
+    def test_nan_value_is_not_missing_coverage(self, tmp_path):
+        # every grid point is named; the NaN is a value, not a gap
+        grid = make_grid(1.0, 3)
+        path = tmp_path / "nan.csv"
+        path.write_text("omega,re,im\n" + "".join(
+            f"{float(w)!r},{'nan' if i == 1 else '1.0'},0.0\n" for i, w in enumerate(grid.points)))
+        with pytest.raises(ConfigError) as info:
+            singular_from_descriptor(grid, {"type": "table", "path": str(path)})
+        assert str(info.value) == (
+            f"table {path}: re/im at omega={float(grid.points[1])!r} is not finite")
+
+    def test_infinite_regular_value_refused(self, tmp_path):
+        grid = make_grid(2.0, 3)
+        path = tmp_path / "inf.csv"
+        cells = [(wi, wj) for wi in grid.points.tolist() for wj in grid.points.tolist()]
+        path.write_text("omega,omega_prime,re,im\n" + "".join(
+            f"{wi!r},{wj!r},1.0,{'-inf' if (i, j) == (2, 0) else '0.0'}\n"
+            for i, wi in enumerate(grid.points.tolist())
+            for j, wj in enumerate(grid.points.tolist())))
+        with pytest.raises(ConfigError) as info:
+            regular_from_descriptor(grid, {"type": "table", "path": str(path)})
+        w, w_prime = cells[6]
+        assert str(info.value) == (
+            f"table {path}: re/im at omega={w!r}, omega_prime={w_prime!r} is not finite")
+
     def test_off_grid_point(self, grid, tmp_path):
         path = tmp_path / "off.csv"
         self.write_singular(path, grid, lambda w: 1.0)
