@@ -59,7 +59,6 @@ from .wigner import (
     PhaseGrid,
     classical_expectation,
     classical_state_density,
-    free_flight_ridge,
     liouville_residual,
     mass_within,
     multi_invariant_density,

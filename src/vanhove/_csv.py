@@ -2,11 +2,20 @@
 
 Floats are written as CPython's ``"%.16e" % x`` (17 significant digits,
 so every float64 reads back to the same value), integers as ``%d`` and
-strings and objects as ``%s``.  A numeric column is formatted once per
-distinct value: floats are keyed by their bit pattern, so ``-0.0`` and
-``0.0`` (and every NaN payload) keep their own text, and integers by value.
+strings and objects as ``%s``.
 
-Float digits come from numpy, for all the distinct floats of a table in
+A column is a 1-d array, or a factored pair ``(values, index)`` in which
+cell r holds ``values[index[r]]``.  A plain array becomes such a pair
+here, so each numeric column is formatted once per distinct value: floats
+are keyed by their bit pattern (one ``np.unique`` sort per column), so
+``-0.0`` and ``0.0`` (and every NaN payload) keep their own text, integers
+by value, and str and object cells are each their own value.  A factored
+pair is formatted as given, repeats included, without a sort; if it has
+more values than cells, only the values that some cell reads are kept.  A
+caller that holds the factors, such as a phase field's grid axes or a
+density's per-(row, column) sums, passes them so.
+
+Float digits come from numpy, for all the floats of a table in
 one pass, ``_CHUNK`` (4,096) values at a time.  For finite x != 0 with
 k = floor(log10 |x|), y = |x| * 10**(16 - k) lies in [1e16, 1e17) and its
 nearest integer D is the digit string.  ``np.frexp`` splits |x| = m * 2**e
@@ -28,8 +37,8 @@ text ``e+dd`` or ``e-ddd`` they fill three 64-bit words per value, and a
 set sign bit (not on NaN) shifts the text one byte up behind a ``-``.
 Zero, ``nan`` (every payload), ``inf`` and ``-inf`` get CPython's texts.
 
-Rows are assembled as bytes.  Each column's distinct texts become slots
-of its longest text plus one byte: the text, the separator (``,`` or, in
+Rows are assembled as bytes.  Each column's texts become slots of its
+longest text plus one byte: the text, the separator (``,`` or, in
 the last column, LF) and pad bytes.  ``_BLOCK_ROWS`` (1,024) rows at a
 time, the slots are gathered by cell into one structured block and the
 pad bytes are dropped, unless every slot is full.  Str cells are encoded
@@ -202,50 +211,91 @@ def float_texts(values) -> list[str]:
     return words.view("S24").ravel().astype(str).tolist()
 
 
+def _factored(col):
+    """A plain column as (values, each cell's index into them): its distinct
+    floats keyed by bit pattern, its distinct integers, or its str and
+    object cells each on their own."""
+    if col.dtype.kind == "f":
+        keys, index = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+        return keys.view(col.dtype), index.ravel()
+    if col.dtype.kind in "iu":
+        values, index = np.unique(col, return_inverse=True)
+        return values, index.ravel()
+    return col, np.arange(col.size)
+
+
+def _read(values, index):
+    """A factored column with more values than cells as the values that some
+    cell reads and each cell's index among them, so that no column formats
+    more values than it has cells."""
+    if values.size <= index.size:
+        return values, index
+    read = np.bincount(index, minlength=values.size) > 0
+    return values[read], (np.cumsum(read) - 1).take(index)
+
+
 def _column_texts(columns, encoding: str):
-    """Per column, its distinct texts as a NUL-padded uint8 array, their
-    lengths, and each cell's index into them.  The floats of all the
+    """Per column, the texts of its values as a NUL-padded uint8 array,
+    their lengths, and each cell's index into them.  The floats of all the
     columns go through one formatter call."""
-    distinct = [(np.unique(col.view(f"u{col.itemsize}"), return_inverse=True), col.dtype)
-                for col in columns if col.dtype.kind == "f"]
-    values = [keys.view(dtype).astype(np.float64) for (keys, _), dtype in distinct]
-    words, lengths = _format(np.concatenate(values or [np.empty(0)]))
-    words, floats, start = words.view(np.uint8), iter(distinct), 0
-    for col in columns:
-        if col.dtype.kind == "f":
-            (keys, index), _ = next(floats)
-            stop = start + keys.size
-            yield words[start:stop], lengths[start:stop], index.ravel()
+    pairs = [_read(*col) if len(col) == 2 else _factored(*col) for col in columns]
+    floats = [values.astype(np.float64) for values, _ in pairs if values.dtype.kind == "f"]
+    words, lengths = _format(np.concatenate(floats or [np.empty(0)]))
+    words, start = words.view(np.uint8), 0
+    for values, index in pairs:
+        if values.dtype.kind == "f":
+            stop = start + values.size
+            yield words[start:stop], lengths[start:stop], index
             start = stop
             continue
-        if col.dtype.kind in "iu":
-            distinct, index = np.unique(col, return_inverse=True)
-            values = distinct.tolist()
+        if values.dtype.kind in "iu":
+            values = values.tolist()
             # one format operation for all the values, cut at the newlines
             raw = [t.encode() for t in (("%d\n" * len(values)) % tuple(values)).split("\n")[:-1]]
-            index = index.ravel()
         else:
-            raw = [str(v).encode(encoding) for v in col.tolist()]
-            index = np.arange(len(raw))
+            raw = [str(v).encode(encoding) for v in values.tolist()]
         text = np.array(raw, dtype="S")
         yield (text.view(np.uint8).reshape(len(raw), text.itemsize),
                np.array([len(r) for r in raw], dtype=np.int64), index)
 
 
+def _refusal(name: str, col, rows: int):
+    """Why ``col``, an array alone or (values, index), cannot be a column of
+    ``rows`` cells, or None."""
+    values, cells = col[0], col[-1]
+    if cells.shape != (rows,):
+        return f"column {name} has shape {cells.shape}, need ({rows},)"
+    if len(col) == 2:
+        if values.ndim != 1 or cells.dtype.kind not in "iu":
+            return f"column {name} needs 1-d values and an integer index"
+        if cells.size and (int(cells.min()) < 0 or int(cells.max()) >= values.size):
+            return f"column {name} has an index outside [0, {values.size})"
+    return None
+
+
 def write_csv(path, header: list[str], columns) -> None:
-    """Write equal-length 1-d columns (float, int, str or object) under
-    ``header``; str and object cells are written with ``%s``."""
-    columns = [np.asarray(col) for col in columns]
-    rows = columns[0].shape[0]
-    if len(columns) != len(header) or any(c.shape != (rows,) for c in columns):
+    """Write equal-length columns under ``header``.  A column is a 1-d
+    array (float, int, str or object) or a tuple ``(values, index)`` of a
+    1-d array and one integer index per cell, cell r holding
+    ``values[index[r]]``; str and object cells are written with ``%s``."""
+    if len(columns) != len(header) or any(
+        isinstance(col, tuple) and len(col) != 2 for col in columns
+    ):
         raise ValueError(f"need one 1-d column of equal length per name in {header}")
+    columns = [tuple(map(np.asarray, col)) if isinstance(col, tuple) else (np.asarray(col),)
+               for col in columns]
+    rows = len(columns[0][-1]) if columns and columns[0][-1].ndim else 0
+    for name, col in zip(header, columns):
+        reason = _refusal(name, col, rows)
+        if reason:
+            raise ValueError(f"{reason}: need one 1-d column of equal length per name in {header}")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.flush()
         texts = list(_column_texts(columns, fh.encoding))
         used = np.zeros(256, dtype=bool)
         for col, (text, _, _) in zip(columns, texts):
-            if col.dtype.kind not in "fiu":
+            if col[0].dtype.kind not in "fiu":
                 used[text.ravel()] = True
         free = np.flatnonzero(~used[128:])
         if not free.size:

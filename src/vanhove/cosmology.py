@@ -592,7 +592,7 @@ def trajectory_ensemble(
         for a0 in a0_points
     ]
     probabilities = np.array([prob for _, _, prob in jobs])
-    values, masses = constraints.summed([[*lv, a0] for lv, a0, _ in jobs], probabilities)
+    totals, masses = constraints.summed([[*lv, a0] for lv, a0, _ in jobs], probabilities)
     degenerate = (probabilities > 0.0) & (masses < DEGENERATE_MASS_TOL)
     entries = [TrajectoryEntry(*job, bool(flag)) for job, flag in zip(jobs, degenerate)]
-    return TrajectoryEnsemble(entries), constraints.density(values)
+    return TrajectoryEnsemble(entries), constraints.density(totals)

@@ -99,12 +99,17 @@ class _Run:
             self.stages.append({"name": name, "seconds": time.perf_counter() - t0})
 
     def record(self, name: str, write) -> None:
-        """Write the artifact ``name`` with ``write(path)`` and checksum it."""
+        """Write the artifact ``name`` with ``write(path)`` and checksum it,
+        read back 1 MiB at a time: a phase-field CSV of a few MB read whole
+        would set the run's peak RSS."""
         path = self.out_dir / name
         write(path)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
         self.artifacts.append(
-            {"path": name, "sha256": digest, "bytes": path.stat().st_size}
+            {"path": name, "sha256": digest.hexdigest(), "bytes": path.stat().st_size}
         )
 
 
@@ -292,7 +297,7 @@ def _run_wigner(config, run: _Run, seed) -> None:
     with run.stage("state-density"):
         density = classical_state_density(state.singular, hfield, policy)
         run.record("density.wpf", lambda p: write_phase_field(density.field, p))
-        run.record("density.csv", lambda p: phase_field_to_csv(density.field, p))
+        run.record("density.csv", lambda p: phase_field_to_csv(density, p))
     with run.stage("summary"):
         summary = {
             "epsilon": float(policy.epsilon),
@@ -405,7 +410,7 @@ def _run_cosmo(config, run: _Run, seed) -> None:
             )
             run.record("ensemble.csv", ensemble.to_csv)
             run.record("density.wpf", lambda p: write_phase_field(density.field, p))
-            run.record("density.csv", lambda p: phase_field_to_csv(density.field, p))
+            run.record("density.csv", lambda p: phase_field_to_csv(density, p))
 
     with run.stage("summary"):
         adiabaticity = float(cosmo.adiabaticity_ratio(mode_set, potential))

@@ -159,6 +159,13 @@ class ClassicalDensity:
         ``ConstraintSet.density`` handed over its own."""
         return _HBins(self.hfield, self.mollifier_width)
 
+    @cached_property
+    def column(self):
+        """The cell values in q-major order as a ``write_csv`` column: the
+        raveled field, unless ``ConstraintSet.density`` handed over the
+        (values, index) pair its cells were gathered from."""
+        return self.field.values.ravel()
+
     def h_mass(self) -> float:
         """Total mass under the H-binned energy integration."""
         return self.bins.mass(self.field.values)
@@ -218,20 +225,45 @@ def _mollifier(distinct: np.ndarray, levels, epsilon: float) -> np.ndarray:
 REACH = float(np.sqrt(-2.0 * np.log(np.finfo(float).eps / 4)))
 
 
-def _banded(distinct: np.ndarray, levels: np.ndarray, epsilon: float):
-    """The slice of sorted ``distinct`` values within reach of any of
-    ``levels``, and ``_mollifier`` there, one row per level.  A factor is
-    evaluated where l - REACH eps <= L <= l + REACH eps, and is exactly 0
-    elsewhere."""
+def _bounds(distinct: np.ndarray, levels: np.ndarray, epsilon: float) -> np.ndarray:
+    """Each level's band in sorted ``distinct``, the values L with
+    l - REACH eps <= L <= l + REACH eps, as a (2, levels) array of lo and
+    hi: the band is distinct[lo:hi]."""
     reach = REACH * epsilon
-    lo = np.searchsorted(distinct, levels - reach, "left")
-    hi = np.searchsorted(distinct, levels + reach, "right")
+    return np.stack([np.searchsorted(distinct, levels - reach, "left"),
+                     np.searchsorted(distinct, levels + reach, "right")])
+
+
+def _banded(distinct: np.ndarray, levels: np.ndarray, bounds: np.ndarray, epsilon: float):
+    """The slice of sorted ``distinct`` values that holds the bands of all
+    ``levels`` (``_bounds``), and ``_mollifier`` there, one row per level.
+    A factor is evaluated within its level's band, and is exactly 0
+    elsewhere."""
+    lo, hi = bounds
     band = slice(int(lo.min()), int(hi.max()))
     out = _mollifier(distinct[band], levels, epsilon)
     for row, start, stop in zip(out, lo - band.start, hi - band.start):
         row[:start] = 0.0
         row[stop:] = 0.0
     return band, out
+
+
+def _blocks(rows, columns, budget: int):
+    """Consecutive blocks [start, stop) of components sorted by their first
+    level, each as long as its factors fit the budget: (stop - start) x
+    (band rows + band columns) <= ``budget`` entries, or one component.
+    ``rows`` and ``columns`` hold each component's band bounds; sorted
+    levels give nondecreasing row bounds, so a block's rows run from its
+    first lo to its last hi, and its entries grow with every component."""
+    (lo, hi), (column_lo, column_hi) = rows, columns
+    start = 0
+    while start < lo.size:
+        width = (hi[start:] - lo[start] + np.maximum.accumulate(column_hi[start:])
+                 - np.minimum.accumulate(column_lo[start:]))
+        entries = width * np.arange(1, width.size + 1)
+        stop = start + max(1, int(np.searchsorted(entries, budget, "right")))
+        yield slice(start, stop)
+        start = stop
 
 
 class ConstraintSet:
@@ -288,28 +320,32 @@ class ConstraintSet:
 
         counts = np.bincount(self._cell, minlength=nrows * ncols).reshape(nrows, ncols)
         self._share = counts / self.bins.counts[self.bins.of(self._row_values)][:, None]
-        # a block of components holds at most one phase field's worth of entries
-        self._block = max(1, self._cell.size // (nrows + ncols))
 
     def summed(self, levels, weights) -> tuple[np.ndarray, np.ndarray]:
         """Sum over components k of ``weights[k]`` times the unit-mass product
-        prod_i g(L_i - levels[k, i]), and each product's raw mass; ``levels``
-        has one row per component, one level per field.  The factor g(d) is
-        exp(-d^2 / 2 eps^2) where |d| <= REACH eps and exactly 0 beyond.
+        prod_i g(L_i - levels[k, i]) at each (row, column), and each
+        product's raw mass; ``levels`` has one row per component, one level
+        per field, and ``density`` gathers the sum at the cells.  The factor
+        g(d) is exp(-d^2 / 2 eps^2) where |d| <= REACH eps and exactly 0
+        beyond.
 
-        The sum is D = A^T diag(w / mass) B at each cell's (row, column), and
-        mass = width * rowsum((A N) o B) with N[row, col] = count(row, col) /
-        count(H bin of row); D and N hold rows x columns entries.  Components
-        go a block at a time in ascending order of their first level, so a
-        block's nonzero factors lie in one slice of rows (the first field is
-        within reach) and one of columns: each block costs K_block x (band
-        rows + band columns) exponentials and contracts only that rectangle.
-        Further row fields are evaluated on their distinct values within
-        reach and gathered at the band's rows.  Besides the count, the band
-        skips the exponentials that underflow, for which numpy's exp takes
-        over ten times as long as for a normal result (about a hundred times
-        for a subnormal one).  einsum loops, not BLAS, contract the blocks,
-        so the bytes do not depend on the BLAS thread count.
+        The sum is D = A^T diag(w / mass) B, and mass = width * rowsum((A N)
+        o B) with N[row, col] = count(row, col) / count(H bin of row); D and
+        N hold rows x columns entries.  Components go a block at a time in
+        ascending order of their first level, so a block's nonzero factors
+        lie in one slice of rows (the first field is within reach) and one of
+        columns: each block costs K_block x (band rows + band columns)
+        exponentials and contracts only that rectangle.  Every level's band
+        bounds come from one ``searchsorted`` pair per field, and they size
+        the blocks (``_blocks``): each holds as many components as keep its
+        factors within one phase field's worth of entries, K_block x (band
+        rows + band columns) <= cells.  Further row fields are evaluated on
+        their distinct values within reach and gathered at the band's rows.
+        Besides the count, the band skips the exponentials that underflow,
+        for which numpy's exp takes over ten times as long as for a normal
+        result (about a hundred times for a subnormal one).  einsum loops,
+        not BLAS, contract the blocks, so the bytes do not depend on the BLAS
+        thread count.
 
         The cut is below rounding.  A dropped term has a factor below 2^-54
         and the others at most 1, so the dropped part of a cell is at most
@@ -330,43 +366,58 @@ class ConstraintSet:
                 f"{levels.shape} and weights {weights.shape} for {len(self.fields)} fields"
             )
         order = np.argsort(levels[:, 0], kind="stable")
+        levels, weights = levels[order], weights[order]
+        eps = self.epsilon
+        rows = _bounds(self._row_values, levels[:, 0], eps)
+        further = [_bounds(values, level, eps)
+                   for (values, _), level in zip(self._rows[1:], levels.T[1:])]
+        # one field alone: every component takes the single column
+        columns = np.repeat([[0], [1]], len(levels), axis=1)
+        if self._columns:
+            columns = _bounds(self._columns[0][0], levels[:, -1], eps)
         total = np.zeros(self._share.shape)
         masses = np.empty(len(levels))
-        for start in range(0, len(levels), self._block):
-            block = order[start:start + self._block]
+        for block in _blocks(rows, columns, self._cell.size):
             lv = levels[block]
-            rows, a = _banded(self._row_values, lv[:, 0], self.epsilon)
-            for (values, _), index, level in zip(self._rows[1:], self._row_index, lv.T[1:]):
-                band, factor = _banded(values, level, self.epsilon)
+            band, a = _banded(self._row_values, lv[:, 0], rows[:, block], eps)
+            for (values, _), index, level, bounds in zip(
+                self._rows[1:], self._row_index, lv.T[1:], further
+            ):
+                within, factor = _banded(values, level, bounds[:, block], eps)
                 full = np.zeros((len(lv), values.size))
-                full[:, band] = factor
-                a *= full[:, index[rows]]
-            columns, b = slice(None), np.ones((len(lv), 1))
+                full[:, within] = factor
+                a *= full[:, index[band]]
+            across, b = slice(None), np.ones((len(lv), 1))
             if self._columns:
-                columns, b = _banded(self._columns[0][0], lv[:, -1], self.epsilon)
-            shared = np.einsum("kr,rc->kc", a, self._share[rows, columns])
+                across, b = _banded(self._columns[0][0], lv[:, -1], columns[:, block], eps)
+            shared = np.einsum("kr,rc->kc", a, self._share[band, across])
             mass = self.bins.width * np.einsum("kc,kc->k", shared, b)
             scale = np.divide(
                 weights[block], mass, out=np.zeros_like(mass), where=mass >= DEGENERATE_MASS_TOL
             )
-            total[rows, columns] += np.einsum("kr,kc->rc", a * scale[:, None], b)
-            masses[block] = mass
-        return np.take(total, self._cell).reshape(self.fields[0].values.shape), masses
+            a *= scale[:, None]
+            total[band, across] += np.einsum("kr,kc->rc", a, b)
+            masses[order[block]] = mass
+        return total, masses
 
-    def density(self, values) -> ClassicalDensity:
-        """``values`` as a density against the first field, holding this
-        set's bins (the same field and width) instead of binning again."""
+    def density(self, totals) -> ClassicalDensity:
+        """The density whose cells read ``totals``, a rows x columns sum as
+        ``summed`` returns it, at their (row, column).  It holds this set's
+        bins (the same field and width) instead of binning again, and, as
+        its ``column``, ``totals`` and each cell's index into them."""
+        values = np.take(totals, self._cell).reshape(self.fields[0].values.shape)
         density = ClassicalDensity(
             PhaseField(self.fields[0].grid, values), self.epsilon, self.fields[0]
         )
         vars(density)["bins"] = self.bins
+        vars(density)["column"] = (totals.ravel(), self._cell)
         return density
 
 
 def _supported(constraints: ConstraintSet, levels, weights) -> ClassicalDensity:
     """The summed density of components that must each have support; raises
     DegenerateSupportError for the first whose mass is below tolerance."""
-    values, masses = constraints.summed(levels, weights)
+    totals, masses = constraints.summed(levels, weights)
     for lv, mass in zip(np.asarray(levels), masses):
         if mass < DEGENERATE_MASS_TOL:
             raise DegenerateSupportError(
@@ -374,7 +425,7 @@ def _supported(constraints: ConstraintSet, levels, weights) -> ClassicalDensity:
                 f"level values {lv.tolist()} have empty intersection",
                 raw_mass=float(mass),
             )
-    return constraints.density(values)
+    return constraints.density(totals)
 
 
 def wigner_singular(obs_singular: SingularKernel, hfield: PhaseField) -> PhaseField:
@@ -498,41 +549,6 @@ def liouville_residual(density, hfield: PhaseField) -> float:
     return float(bracket.max()) / denom
 
 
-def free_flight_ridge(density: ClassicalDensity, etas) -> np.ndarray:
-    """Ridge coordinate of the density transported by the free flow
-    q -> q + p * eta, one entry per eta.
-
-    For each eta the position marginal of the transported density is
-    accumulated (mass leaving the window is dropped) and its peak located
-    with parabolic sub-cell refinement.  A density peaked near (a0, l)
-    yields a ridge a(eta) ~ a0 + l * eta.
-    """
-    grid = density.field.grid
-    q, p = grid.q, grid.p
-    values = density.field.values
-    etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    out = np.empty(etas.size)
-    for k, eta in enumerate(etas):
-        marginal = np.zeros(grid.nq)
-        for j in range(grid.np):
-            col = values[:, j]
-            if not col.any():
-                continue
-            marginal += np.interp(q, q + p[j] * eta, col, left=0.0, right=0.0)
-        i = int(np.argmax(marginal))
-        out[k] = q[i] + _parabolic_offset(marginal, i) * grid.dq
-    return out
-
-
-def _parabolic_offset(y: np.ndarray, i: int) -> float:
-    if i == 0 or i == y.size - 1:
-        return 0.0
-    denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-    if denom == 0.0:
-        return 0.0
-    return 0.5 * (y[i - 1] - y[i + 1]) / denom
-
-
 def write_phase_field(field: PhaseField, path) -> None:
     """Dense binary dump: 32-byte header (magic WPF1, nq, np, float32
     ranges) then row-major little-endian float64 samples."""
@@ -562,8 +578,16 @@ def read_phase_field(path) -> PhaseField:
     return PhaseField(grid, data)
 
 
-def phase_field_to_csv(field: PhaseField, path) -> None:
-    """Rows q,p,value with 17 significant digits, q-major order."""
+def phase_field_to_csv(field, path) -> None:
+    """Rows q,p,value with 17 significant digits, q-major order, of a
+    PhaseField or a ClassicalDensity.  The q and p columns are the grid's
+    axes, each cell indexed into them, and a density's values come as its
+    ``column``, so no column is sorted for its distinct values."""
+    if isinstance(field, ClassicalDensity):
+        values, field = field.column, field.field
+    else:
+        values = field.values.ravel()
     grid = field.grid
-    columns = [np.repeat(grid.q, grid.np), np.tile(grid.p, grid.nq), field.values.ravel()]
-    write_csv(path, ["q", "p", "value"], columns)
+    q = (grid.q, np.repeat(np.arange(grid.nq), grid.np))
+    p = (grid.p, np.tile(np.arange(grid.np), grid.nq))
+    write_csv(path, ["q", "p", "value"], [q, p, values])

@@ -12,6 +12,7 @@ import vanhove as vh
 from vanhove.harness import run_experiment
 from vanhove.oracles import conjugation_expectation_oracle, dense_pair_oracle
 from vanhove.wigner import harmonic_field, momentum_field
+from ridge import free_flight_ridge
 
 GAUSS = {"type": "gaussian", "mu": 5.0, "sigma": 0.5}
 CLOSED_FORM_RATE = 0.125  # sigma^2/2 for matching state/observable widths
@@ -250,7 +251,7 @@ def test_criterion_9_trajectory_emergence():
             [a0],
             l_values=[[l]],
         )
-        ridge = vh.free_flight_ridge(component, etas)
+        ridge = free_flight_ridge(component, etas)
         slope, intercept = np.polyfit(etas, ridge, 1)
         fitted = slope * etas + intercept
         ss_res = float(np.sum((ridge - fitted) ** 2))

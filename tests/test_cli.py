@@ -24,6 +24,29 @@ def write_config(tmp_path, payload, name="config.json"):
     return path
 
 
+def refactor_gate():
+    """``tools/refactor_gate.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "refactor_gate", Path(__file__).resolve().parent.parent / "tools" / "refactor_gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate
+
+
+def test_refactor_gate_reports_added_removed_and_changed(tmp_path, monkeypatch, capsys):
+    gate = refactor_gate()
+    now = {"a": {"x.csv": "1", "y.csv": "2"}, "b": {"z.csv": "3"}}
+    monkeypatch.setattr(gate, "gate", lambda workdir: now)
+    earlier = tmp_path / "earlier.json"
+    earlier.write_text(json.dumps({"a": {"x.csv": "1", "y.csv": "0", "w.csv": "4"}}))
+    assert gate.main(["--against", str(earlier)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "added: b/z.csv", "removed: a/w.csv", "changed: a/y.csv"]
+    earlier.write_text(json.dumps(now))
+    assert gate.main(["--against", str(earlier)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def gaussian_evolve_config(n=256, **extra):
     cfg = {
         "kind": "evolve",
@@ -144,10 +167,7 @@ class TestExitCodes:
     def test_validation_records_each_margin(self, tmp_path):
         # the refactor gate's two validate configs, and the gate's first draft
         # of the regular one (mu = 5), whose cutoff amplitude is the plain one's
-        spec = importlib.util.spec_from_file_location(
-            "refactor_gate", Path(__file__).resolve().parent.parent / "tools" / "refactor_gate.py")
-        gate = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gate)
+        gate = refactor_gate()
         draft = copy.deepcopy(gate.RUNS["validate-regular"])
         draft["state"]["regular"]["mu"] = 5.0
         configs = {"validate": gate.RUNS["validate"],
@@ -365,6 +385,12 @@ class TestWignerKind:
         field = read_phase_field(out / "density.wpf")
         assert field.values.shape == (201, 201)
         assert field.values.min() >= 0.0
+        # the manifest hashes an artifact a MiB at a time; this one takes three
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed = {a["path"]: a for a in manifest["artifacts"]}
+        data = (out / "density.csv").read_bytes()
+        assert len(data) > 2 * 2**20 and listed["density.csv"]["bytes"] == len(data)
+        assert listed["density.csv"]["sha256"] == hashlib.sha256(data).hexdigest()
 
 
 class TestCosmoKind:

@@ -15,7 +15,6 @@ from vanhove import (
     cosmo_weak_limit,
     diagonalize_remaining,
     enumerate_fock,
-    free_flight_ridge,
     mass_within,
     multi_invariant_density,
     quadratic_cap_potential,
@@ -28,6 +27,7 @@ from vanhove import (
 )
 from vanhove.oracles import conjugation_expectation_oracle
 from vanhove.wigner import momentum_field
+from ridge import free_flight_ridge
 
 
 def degenerate_mode_set():

@@ -1,17 +1,26 @@
 """The artifact CSV format: the numpy float formatter against CPython's
 ``"%.16e" % x`` over every binade, decimal exponent and exact tie,
-block-wise, distinct-value writing against a per-row reference, exact
-read-back of float columns, and the cell syntax and refusals of the table
-reader."""
+block-wise, distinct-value writing against a per-row reference, factored
+(values, index) columns against their expanded cells, exact read-back of
+float columns, and the cell syntax and refusals of the table reader."""
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from vanhove import PhaseField, PhaseGrid
+from vanhove import MollifierPolicy, PhaseField, PhaseGrid
 from vanhove import _csv
 from vanhove._csv import _BLOCK_ROWS, float_texts, read_csv, write_csv
 from vanhove.errors import ConfigError
-from vanhove.wigner import phase_field_to_csv
+from vanhove.wigner import (
+    ConstraintSet,
+    _field_resolution,
+    coordinate_field,
+    harmonic_field,
+    momentum_field,
+    phase_field_to_csv,
+)
 
 # signed zero, the smallest subnormal and the largest finite magnitudes
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -120,6 +129,103 @@ def test_phase_field_signed_zeros_match_per_row_format(tmp_path):
                 values.ravel().tolist())
     expected = "q,p,value\n" + "".join(f"{q:.16e},{p:.16e},{v:.16e}\n" for q, p, v in cells)
     assert path.read_bytes() == expected.encode()
+
+
+# floats that keep their own text: signed zeros, NaN payloads, both
+# infinities, subnormals and the largest magnitudes
+EDGE_FLOATS = SPECIAL + NANS + [np.inf, -np.inf, 1e-310, -2.2250738585072009e-308]
+
+
+@given(
+    pool=st.lists(finite, max_size=8),
+    ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8),
+    strs=st.lists(st.text("0123456789.e+-;\u00e9", max_size=12), min_size=1, max_size=8),
+    rows=st.sampled_from([0, 1, 7, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factored_columns_write_their_expanded_bytes(tmp_path_factory, pool, ints, strs,
+                                                     rows, seed):
+    # values with repeated entries, each cell an index into them, beside the
+    # same cells given as plain arrays
+    rng = np.random.default_rng(seed)
+    floats = np.array(EDGE_FLOATS + pool)
+    floats = floats[rng.integers(0, floats.size, floats.size + 5)]
+    ints = np.array(ints, dtype=np.int64)[rng.integers(0, len(ints), len(ints) + 3)]
+    strs = np.array(strs + strs[:2], dtype=object)
+    pairs = [(values, rng.integers(0, values.size, rows)) for values in (floats, ints, strs)]
+    header = ["x", "n", "s"] * 2
+    factored, expanded = tmp_path_factory.mktemp("csv") / "f.csv", tmp_path_factory.mktemp("csv") / "e.csv"
+    cells = [values[index] for values, index in pairs]
+    write_csv(factored, header, pairs + cells)
+    write_csv(expanded, header, cells + cells)
+    assert factored.read_bytes() == expanded.read_bytes()
+    expected = per_row_reference(header[:3], *(c.tolist() for c in cells)).splitlines()
+    assert factored.read_bytes() == "".join(f"{line},{line}\n" for line in expected).encode()
+
+
+@pytest.mark.parametrize("index, message", [
+    (np.array([0, 1]), "column v has shape (2,), need (3,)"),
+    (np.array([[0, 1, 2]]), "column v has shape (1, 3), need (3,)"),
+    (np.array([0, 1, 3]), "column v has an index outside [0, 3)"),
+    (np.array([0, -1, 2]), "column v has an index outside [0, 3)"),
+    (np.array([0.0, 1.0, 2.0]), "column v needs 1-d values and an integer index"),
+])
+def test_factored_column_refusals_name_the_column(tmp_path, index, message):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_csv(path, ["n", "v"], [np.arange(3), (np.array([1.0, 2.0, 3.0]), index)])
+    with pytest.raises(ValueError, match="column v has shape"):
+        write_csv(path, ["n", "v"], [np.arange(3), (np.array([1.0]), np.zeros(4, dtype=int))])
+    with pytest.raises(ValueError, match="equal length"):
+        write_csv(path, ["n", "v"], [np.arange(3), (np.array([1.0]),)])
+    assert not path.exists()
+
+
+def test_factored_column_formats_only_the_values_its_cells_read(tmp_path, monkeypatch):
+    # more values than cells: the unread ones are not formatted
+    formatted = []
+    real_format = _csv._format
+    monkeypatch.setattr(_csv, "_format", lambda v: (formatted.append(v.size), real_format(v))[1])
+    values = np.linspace(0.0, 1.0, 1000)
+    write_csv(tmp_path / "out.csv", ["v"], [(values, np.array([999, 3, 3, 0]))])
+    assert formatted == [3]
+    expected = "v\n" + "".join(f"{v:.16e}\n" for v in values[[999, 3, 3, 0]].tolist())
+    assert (tmp_path / "out.csv").read_bytes() == expected.encode()
+
+
+@st.composite
+def phase_grids(draw):
+    """Grids of 2-37 points per axis, odd sizes included, whose ranges lie on
+    one side of 0 or across it."""
+    ranges = [sorted(draw(st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2,
+                                   unique=True))) for _ in range(2)]
+    assume(all(hi - lo > 0.05 for lo, hi in ranges))
+    return PhaseGrid(*ranges, draw(st.integers(2, 37)), draw(st.integers(2, 37)))
+
+
+@given(grid=phase_grids(), fields=st.sampled_from(["harmonic", "momentum-coordinate",
+                                                   "harmonic-coordinate"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_phase_field_csv_matches_expanded_columns(tmp_path_factory, grid, fields, seed):
+    # a random field, and a density whose value column comes factored from
+    # ConstraintSet.density (harmonic with coordinate has more (row, column)
+    # entries than cells)
+    rng = np.random.default_rng(seed)
+    makers = {"harmonic": harmonic_field, "momentum": momentum_field,
+              "coordinate": coordinate_field}
+    invariants = [makers[name](grid) for name in fields.split("-")]
+    eps = 5.0 * max(_field_resolution(f) for f in invariants)
+    constraints = ConstraintSet(invariants, MollifierPolicy(eps))
+    i, j = rng.integers(grid.nq), rng.integers(grid.np)
+    totals, _ = constraints.summed([[f.values[i, j] for f in invariants]], [1.0])
+    density = constraints.density(totals)
+    field = PhaseField(grid, rng.standard_normal((grid.nq, grid.np)))
+    q, p = np.repeat(grid.q, grid.np), np.tile(grid.p, grid.nq)
+    out = tmp_path_factory.mktemp("csv")
+    for subject, values in [(field, field.values), (density, density.field.values)]:
+        phase_field_to_csv(subject, out / "field.csv")
+        write_csv(out / "expanded.csv", ["q", "p", "value"], [q, p, values.ravel()])
+        assert (out / "field.csv").read_bytes() == (out / "expanded.csv").read_bytes()
 
 
 def assert_formats_as_cpython(values):

@@ -49,6 +49,7 @@ from vanhove import (
 from vanhove.kernels import grid_size_for_spacing
 from vanhove.oracles import dense_pair_oracle
 from vanhove.pointer import TIE_TOL
+from vanhove import wigner
 from vanhove.wigner import (
     DEGENERATE_MASS_TOL,
     REACH,
@@ -402,6 +403,13 @@ def component_reference(fields, eps, levels):
     return raw, _HBins(fields[0], eps).mass(raw)
 
 
+def summed_cells(constraints, levels, weights):
+    """``summed``'s sum gathered at the cells, as ``density`` gathers it, and
+    the masses."""
+    totals, masses = constraints.summed(levels, weights)
+    return constraints.density(totals).field.values, masses
+
+
 def assert_close_to_max(values, reference):
     assert np.max(np.abs(values - reference)) <= SUM_ULPS * EPS * np.max(np.abs(reference))
 
@@ -435,7 +443,7 @@ def in_reach(fields, eps, levels):
 @given(problem=staircase_fields(), weight=st.floats(0.1, 10.0))
 def test_distinct_value_mollifier_is_the_per_cell_product(problem, weight):
     fields, eps, levels = problem
-    values, masses = ConstraintSet(fields, MollifierPolicy(eps)).summed([levels], [weight])
+    values, masses = summed_cells(ConstraintSet(fields, MollifierPolicy(eps)), [levels], [weight])
     assert_summed_matches_reference(fields, eps, [levels], [weight], values, masses)
     if masses[0] < DEGENERATE_MASS_TOL:
         assert not values.any()
@@ -469,7 +477,7 @@ def staircase_mixtures(draw):
 @given(problem=staircase_mixtures())
 def test_summed_density_is_the_job_order_sum_of_components(problem):
     fields, eps, levels, weights = problem
-    values, masses = ConstraintSet(fields, MollifierPolicy(eps)).summed(levels, weights)
+    values, masses = summed_cells(ConstraintSet(fields, MollifierPolicy(eps)), levels, weights)
     assert_summed_matches_reference(fields, eps, levels, weights, values, masses)
 
 
@@ -507,7 +515,7 @@ def banded_mixtures(draw):
 def test_summed_density_drops_only_factors_out_of_reach(problem, data):
     fields, eps, levels, weights, empty = problem
     constraints = ConstraintSet(fields, MollifierPolicy(eps))
-    values, masses = constraints.summed(levels, weights)
+    values, masses = summed_cells(constraints, levels, weights)
     assert_summed_matches_reference(fields, eps, levels, weights, values, masses)
 
     # a cell is nonzero exactly where a supported component reaches it; the
@@ -527,11 +535,90 @@ def test_summed_density_drops_only_factors_out_of_reach(problem, data):
 
     # any component order gives the same sum, and masses in the caller's order
     order = np.array(data.draw(st.permutations(range(len(levels)))))
-    shuffled, shuffled_masses = constraints.summed(
-        np.asarray(levels)[order], np.asarray(weights)[order]
+    shuffled, shuffled_masses = summed_cells(
+        constraints, np.asarray(levels)[order], np.asarray(weights)[order]
     )
     assert np.all(np.abs(shuffled_masses - masses[order]) <= SUM_ULPS * EPS * masses[order])
     assert_close_to_max(shuffled, values)
+
+
+@st.composite
+def shell_mixtures(draw):
+    """A harmonic field on a square grid of 16-64 points a side, a width that
+    resolves it, and 20-300 shells over its H range with random weights, so
+    that the band rule puts many components in a block."""
+    n = draw(st.integers(16, 64))
+    hfield = harmonic_field(PhaseGrid((-3.0, 3.0), (-3.0, 3.0), n, n))
+    eps = draw(st.floats(1.5, 6.0)) * _field_resolution(hfield)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(20, 300))
+    levels = rng.uniform(0.0, 9.0, (count, 1))
+    return [hfield], eps, levels.tolist(), rng.uniform(0.1, 10.0, count).tolist()
+
+
+def blocks_of_five(rows, columns, budget):
+    """Five components a block, whatever their bands."""
+    return (slice(start, start + 5) for start in range(0, rows[0].size, 5))
+
+
+@settings(max_examples=60)
+@given(problem=st.one_of(staircase_mixtures(), shell_mixtures()))
+def test_summed_by_the_band_rule_matches_blocks_of_five(problem):
+    # the blocks change only the order of summation
+    fields, eps, levels, weights = problem
+    constraints = ConstraintSet(fields, MollifierPolicy(eps))
+    values, masses = summed_cells(constraints, levels, weights)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wigner, "_blocks", blocks_of_five)
+        fives, five_masses = summed_cells(constraints, levels, weights)
+    assert np.all(np.abs(masses - five_masses) <= SUM_ULPS * EPS * five_masses)
+    assert_close_to_max(values, fives)
+    assert_summed_matches_reference(fields, eps, levels, weights, values, masses)
+
+
+@settings(max_examples=60)
+@given(problem=st.one_of(staircase_mixtures(), shell_mixtures()))
+def test_band_rule_blocks_hold_one_phase_field_of_factors(problem):
+    # each block's factors, K x (band rows + band columns) entries, fit in
+    # one phase field unless the block is a single component, and one more
+    # component would not have fitted
+    fields, eps, levels, weights = problem
+    constraints = ConstraintSet(fields, MollifierPolicy(eps))
+    cells = fields[0].values.size
+    blocks, calls = [], []
+    real_blocks, real_mollifier = wigner._blocks, wigner._mollifier
+
+    def recording_blocks(rows, columns, budget):
+        assert budget == cells
+        for block in real_blocks(rows, columns, budget):
+            blocks.append((rows, columns, block))
+            calls.append([])
+            yield block
+
+    def counting(distinct, lv, epsilon):
+        calls[-1].append(np.size(distinct) * np.size(lv))
+        return real_mollifier(distinct, lv, epsilon)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wigner, "_blocks", recording_blocks)
+        patch.setattr(wigner, "_mollifier", counting)
+        constraints.summed(levels, weights)
+
+    def entries(rows, columns, start, stop):
+        (lo, hi), (column_lo, column_hi) = rows, columns
+        width = hi[stop - 1] - lo[start] + column_hi[start:stop].max() - column_lo[start:stop].min()
+        return (stop - start) * int(width)
+
+    assert [b.start for _, _, b in blocks] == [0] + [b.stop for _, _, b in blocks[:-1]]
+    assert blocks[-1][2].stop == len(levels)
+    for (rows, columns, block), sizes in zip(blocks, calls):
+        count = entries(rows, columns, block.start, block.stop)
+        # the row factors, and the column factors when there is a column group
+        evaluated = sizes[0] + (sizes[-1] if len(fields) > 1 else block.stop - block.start)
+        assert evaluated == count
+        assert count <= cells or block.stop - block.start == 1
+        if block.stop < len(levels):
+            assert entries(rows, columns, block.start, block.stop + 1) > cells
 
 
 @st.composite

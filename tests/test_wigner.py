@@ -12,7 +12,6 @@ from vanhove import (
     SingularKernel,
     classical_expectation,
     classical_state_density,
-    free_flight_ridge,
     liouville_residual,
     make_grid,
     mass_within,
@@ -38,6 +37,7 @@ from vanhove.wigner import (
     momentum_field,
     phase_field_to_csv,
 )
+from ridge import free_flight_ridge
 
 
 def square_grid(extent=2.5, n=201):
@@ -214,7 +214,9 @@ class TestClassicalStateDensity:
         grid = make_grid(3.0, 64)
         hfield = harmonic_field(square_grid(2.8, 301))
         constraints = ConstraintSet([hfield], MollifierPolicy(0.1))
-        density = constraints.density(np.exp(-hfield.values))
+        # one field: a row per distinct H value and one column
+        density = constraints.density(np.exp(-constraints.distinct[0][0])[:, None])
+        np.testing.assert_array_equal(density.field.values, np.exp(-hfield.values))
         assert density.bins is constraints.bins
         fresh = _HBins(density.hfield, density.mollifier_width)
         for name in ("lo", "epsilon", "width", "nbins"):
@@ -226,10 +228,11 @@ class TestClassicalStateDensity:
         assert density.h_mass() == fresh.mass(density.field.values)
 
     def test_factors_are_evaluated_only_near_their_levels(self, monkeypatch):
-        # 500 levels over the whole H range [0, 16] at eps = 0.3: a block of 5
-        # components spans 0.13 in H, and its band 2 REACH eps + 0.13 = 5.3, a
-        # third of the range (0.305 of the rows as measured; the distinct
-        # values are densest at mid range).  Unbanded, every level took every row.
+        # 500 levels over the whole H range [0, 16] at eps = 0.3: a level's
+        # band is 2 REACH eps = 5.2 in H, about a third of the range, and the
+        # band rule puts 9 to 74 components in a block (0.324 of the rows per
+        # level as measured, 0.305 in blocks of 5; the distinct values are
+        # densest at mid range).  Unbanded, every level took every row.
         hfield = harmonic_field(square_grid(4.0, 128))
         constraints = ConstraintSet([hfield], MollifierPolicy(0.3))
         given = []

@@ -7,7 +7,8 @@ a small cosmo run whose potential is a table, each run through
 Usage: python3 tools/refactor_gate.py [--against EARLIER_OUTPUT.json]
 
 Prints {config: {artifact: sha256}}; with --against it exits 1 and lists
-each changed artifact.  The sha256s depend on the numpy/BLAS build.
+each artifact that is new (``added:``), gone (``removed:``) or has other
+bytes (``changed:``).  The sha256s depend on the numpy/BLAS build.
 """
 import argparse
 import contextlib
@@ -121,10 +122,15 @@ def main(argv=None) -> int:
     if args.against is None:
         return 0
     before, after = _flat(json.loads(args.against.read_text())), _flat(digests)
-    changed = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
-    for item in changed:
-        print(f"changed: {item}", file=sys.stderr)
-    return 1 if changed else 0
+    report = {
+        "added": after.keys() - before.keys(),
+        "removed": before.keys() - after.keys(),
+        "changed": {k for k in before.keys() & after.keys() if before[k] != after[k]},
+    }
+    for kind, items in report.items():
+        for item in sorted(items):
+            print(f"{kind}: {item}", file=sys.stderr)
+    return 1 if any(report.values()) else 0
 
 
 if __name__ == "__main__":
