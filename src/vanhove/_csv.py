@@ -4,16 +4,10 @@ Floats are written as CPython's ``"%.16e" % x`` (17 significant digits,
 so every float64 reads back to the same value), integers as ``%d`` and
 strings and objects as ``%s``.
 
-A column is a 1-d array, or a factored pair ``(values, index)`` in which
-cell r holds ``values[index[r]]``.  A plain array becomes such a pair
-here, so each numeric column is formatted once per distinct value: floats
-are keyed by their bit pattern (one ``np.unique`` sort per column), so
+A column is a 1-d array, formatted once per distinct value: floats are
+keyed by their bit pattern (one ``np.unique`` sort per column), so
 ``-0.0`` and ``0.0`` (and every NaN payload) keep their own text, integers
-by value, and str and object cells are each their own value.  A factored
-pair is formatted as given, repeats included, without a sort; if it has
-more values than cells, only the values that some cell reads are kept.  A
-caller that holds the factors, such as a phase field's grid axes or a
-density's per-(row, column) sums, passes them so.
+by value, and str and object cells are each their own value.
 
 Float digits come from numpy, for all the floats of a table in
 one pass, ``_CHUNK`` (4,096) values at a time.  For finite x != 0 with
@@ -67,8 +61,8 @@ import numpy as np
 from .errors import ConfigError
 
 # Rows are gathered and written this many at a time, and floats formatted
-# this many at a time: a whole large phase-field dump at once raises the
-# peak RSS of the run.
+# this many at a time: a whole large table at once raises the peak RSS of
+# the run.
 _BLOCK_ROWS = 1024
 _CHUNK = 4096
 # |frac - 1/2| below which the rounding of y is decided exactly
@@ -224,21 +218,11 @@ def _factored(col):
     return col, np.arange(col.size)
 
 
-def _read(values, index):
-    """A factored column with more values than cells as the values that some
-    cell reads and each cell's index among them, so that no column formats
-    more values than it has cells."""
-    if values.size <= index.size:
-        return values, index
-    read = np.bincount(index, minlength=values.size) > 0
-    return values[read], (np.cumsum(read) - 1).take(index)
-
-
 def _column_texts(columns, encoding: str):
     """Per column, the texts of its values as a NUL-padded uint8 array,
     their lengths, and each cell's index into them.  The floats of all the
     columns go through one formatter call."""
-    pairs = [_read(*col) if len(col) == 2 else _factored(*col) for col in columns]
+    pairs = [_factored(col) for col in columns]
     floats = [values.astype(np.float64) for values, _ in pairs if values.dtype.kind == "f"]
     words, lengths = _format(np.concatenate(floats or [np.empty(0)]))
     words, start = words.view(np.uint8), 0
@@ -259,43 +243,24 @@ def _column_texts(columns, encoding: str):
                np.array([len(r) for r in raw], dtype=np.int64), index)
 
 
-def _refusal(name: str, col, rows: int):
-    """Why ``col``, an array alone or (values, index), cannot be a column of
-    ``rows`` cells, or None."""
-    values, cells = col[0], col[-1]
-    if cells.shape != (rows,):
-        return f"column {name} has shape {cells.shape}, need ({rows},)"
-    if len(col) == 2:
-        if values.ndim != 1 or cells.dtype.kind not in "iu":
-            return f"column {name} needs 1-d values and an integer index"
-        if cells.size and (int(cells.min()) < 0 or int(cells.max()) >= values.size):
-            return f"column {name} has an index outside [0, {values.size})"
-    return None
-
-
 def write_csv(path, header: list[str], columns) -> None:
-    """Write equal-length columns under ``header``.  A column is a 1-d
-    array (float, int, str or object) or a tuple ``(values, index)`` of a
-    1-d array and one integer index per cell, cell r holding
-    ``values[index[r]]``; str and object cells are written with ``%s``."""
-    if len(columns) != len(header) or any(
-        isinstance(col, tuple) and len(col) != 2 for col in columns
-    ):
+    """Write equal-length 1-d columns (float, int, str or object) under
+    ``header``; str and object cells are written with ``%s``."""
+    if len(columns) != len(header):
         raise ValueError(f"need one 1-d column of equal length per name in {header}")
-    columns = [tuple(map(np.asarray, col)) if isinstance(col, tuple) else (np.asarray(col),)
-               for col in columns]
-    rows = len(columns[0][-1]) if columns and columns[0][-1].ndim else 0
+    columns = [np.asarray(col) for col in columns]
+    rows = len(columns[0]) if columns and columns[0].ndim else 0
     for name, col in zip(header, columns):
-        reason = _refusal(name, col, rows)
-        if reason:
-            raise ValueError(f"{reason}: need one 1-d column of equal length per name in {header}")
+        if col.shape != (rows,):
+            raise ValueError(f"column {name} has shape {col.shape}, need ({rows},): "
+                             f"need one 1-d column of equal length per name in {header}")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.flush()
         texts = list(_column_texts(columns, fh.encoding))
         used = np.zeros(256, dtype=bool)
         for col, (text, _, _) in zip(columns, texts):
-            if col[0].dtype.kind not in "fiu":
+            if col.dtype.kind not in "fiu":
                 used[text.ravel()] = True
         free = np.flatnonzero(~used[128:])
         if not free.size:

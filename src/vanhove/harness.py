@@ -49,7 +49,6 @@ from .wigner import (
     harmonic_field,
     kinetic_field,
     momentum_field,
-    phase_field_to_csv,
     wigner_singular,
     write_phase_field,
 )
@@ -100,8 +99,7 @@ class _Run:
 
     def record(self, name: str, write) -> None:
         """Write the artifact ``name`` with ``write(path)`` and checksum it,
-        read back 1 MiB at a time: a phase-field CSV of a few MB read whole
-        would set the run's peak RSS."""
+        read back 1 MiB at a time, so no artifact is held whole."""
         path = self.out_dir / name
         write(path)
         digest = hashlib.sha256()
@@ -297,7 +295,6 @@ def _run_wigner(config, run: _Run, seed) -> None:
     with run.stage("state-density"):
         density = classical_state_density(state.singular, hfield, policy)
         run.record("density.wpf", lambda p: write_phase_field(density.field, p))
-        run.record("density.csv", lambda p: phase_field_to_csv(density, p))
     with run.stage("summary"):
         summary = {
             "epsilon": float(policy.epsilon),
@@ -410,7 +407,6 @@ def _run_cosmo(config, run: _Run, seed) -> None:
             )
             run.record("ensemble.csv", ensemble.to_csv)
             run.record("density.wpf", lambda p: write_phase_field(density.field, p))
-            run.record("density.csv", lambda p: phase_field_to_csv(density, p))
 
     with run.stage("summary"):
         adiabaticity = float(cosmo.adiabaticity_ratio(mode_set, potential))

@@ -26,13 +26,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ._csv import write_csv
 from .errors import DegenerateSupportError, DomainMismatchError, GridMismatchError
 from .kernels import SingularKernel, _frozen
 
 DEGENERATE_MASS_TOL = 1e-6
-_WPF_HEADER = struct.Struct("<4sII4f4x")
-_WPF_MAGIC = b"WPF1"
+# magic, nq, np and the q and p ranges: WPF2 holds float64 ranges behind 4
+# pad bytes, so the samples after its 48 bytes stay 8-byte aligned; WPF1,
+# still read, held float32 ranges
+_WPF_HEADERS = {b"WPF2": struct.Struct("<4sII4x4d"), b"WPF1": struct.Struct("<4sII4f4x")}
 
 
 @dataclass(frozen=True)
@@ -159,26 +160,21 @@ class ClassicalDensity:
         ``ConstraintSet.density`` handed over its own."""
         return _HBins(self.hfield, self.mollifier_width)
 
-    @cached_property
-    def column(self):
-        """The cell values in q-major order as a ``write_csv`` column: the
-        raveled field, unless ``ConstraintSet.density`` handed over the
-        (values, index) pair its cells were gathered from."""
-        return self.field.values.ravel()
-
     def h_mass(self) -> float:
         """Total mass under the H-binned energy integration."""
         return self.bins.mass(self.field.values)
 
     def edge_fraction(self) -> float:
         """Share of plain phase-area mass sitting on the window border;
-        large values mean the level sets leak out of the window."""
+        large values mean the level sets leak out of the window.  The four
+        border strips are summed themselves, each corner once, so a share
+        far below rounding of the total still reads as itself."""
         v = self.field.values
         total = float(v.sum())
         if total == 0.0:
             return 0.0
-        interior = float(v[1:-1, 1:-1].sum())
-        return max((total - interior) / total, 0.0)
+        border = v[[0, -1]].sum() + v[1:-1, [0, -1]].sum()
+        return float(border) / total
 
 
 class _HBins:
@@ -403,14 +399,12 @@ class ConstraintSet:
     def density(self, totals) -> ClassicalDensity:
         """The density whose cells read ``totals``, a rows x columns sum as
         ``summed`` returns it, at their (row, column).  It holds this set's
-        bins (the same field and width) instead of binning again, and, as
-        its ``column``, ``totals`` and each cell's index into them."""
+        bins (the same field and width) instead of binning again."""
         values = np.take(totals, self._cell).reshape(self.fields[0].values.shape)
         density = ClassicalDensity(
             PhaseField(self.fields[0].grid, values), self.epsilon, self.fields[0]
         )
         vars(density)["bins"] = self.bins
-        vars(density)["column"] = (totals.ravel(), self._cell)
         return density
 
 
@@ -550,44 +544,23 @@ def liouville_residual(density, hfield: PhaseField) -> float:
 
 
 def write_phase_field(field: PhaseField, path) -> None:
-    """Dense binary dump: 32-byte header (magic WPF1, nq, np, float32
-    ranges) then row-major little-endian float64 samples."""
+    """Dense binary dump: a 48-byte header (magic WPF2, nq and np as
+    uint32, 4 pad bytes, then q_min, q_max, p_min, p_max as float64), then
+    the row-major samples, all little-endian."""
     grid = field.grid
-    header = _WPF_HEADER.pack(
-        _WPF_MAGIC,
-        grid.nq,
-        grid.np,
-        grid.q_range[0],
-        grid.q_range[1],
-        grid.p_range[0],
-        grid.p_range[1],
-    )
+    header = _WPF_HEADERS[b"WPF2"].pack(b"WPF2", grid.nq, grid.np, *grid.q_range, *grid.p_range)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        fh.write(np.asarray(field.values, dtype="<f8").tobytes())
 
 
 def read_phase_field(path) -> PhaseField:
+    """The field of a WPF2 file, or of a WPF1 file (float32 ranges)."""
     with open(path, "rb") as fh:
-        raw = fh.read(_WPF_HEADER.size)
-        magic, nq, np_, q0, q1, p0, p1 = _WPF_HEADER.unpack(raw)
-        if magic != _WPF_MAGIC:
-            raise ValueError(f"{path}: not a phase-field file (magic {magic!r})")
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(nq, np_)
-    grid = PhaseGrid((q0, q1), (p0, p1), nq, np_)
-    return PhaseField(grid, data)
-
-
-def phase_field_to_csv(field, path) -> None:
-    """Rows q,p,value with 17 significant digits, q-major order, of a
-    PhaseField or a ClassicalDensity.  The q and p columns are the grid's
-    axes, each cell indexed into them, and a density's values come as its
-    ``column``, so no column is sorted for its distinct values."""
-    if isinstance(field, ClassicalDensity):
-        values, field = field.column, field.field
-    else:
-        values = field.values.ravel()
-    grid = field.grid
-    q = (grid.q, np.repeat(np.arange(grid.nq), grid.np))
-    p = (grid.p, np.tile(np.arange(grid.np), grid.nq))
-    write_csv(path, ["q", "p", "value"], [q, p, values])
+        raw = fh.read()
+    header = _WPF_HEADERS.get(raw[:4])
+    if header is None or len(raw) < header.size:
+        raise ValueError(f"{path}: not a phase-field file ({len(raw)} bytes, magic {raw[:4]!r})")
+    _, nq, np_, q0, q1, p0, p1 = header.unpack_from(raw)
+    data = np.frombuffer(raw, dtype="<f8", offset=header.size).reshape(nq, np_)
+    return PhaseField(PhaseGrid((q0, q1), (p0, p1), nq, np_), data)

@@ -15,7 +15,7 @@ import pytest
 from vanhove import ModeSet, enumerate_fock, sqrt_prime_modes
 from vanhove.cli import main
 from vanhove.config import ConfigError, config_hash, load_config
-from vanhove.harness import run_experiment
+from vanhove.harness import _Run, run_experiment
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -385,12 +385,21 @@ class TestWignerKind:
         field = read_phase_field(out / "density.wpf")
         assert field.values.shape == (201, 201)
         assert field.values.min() >= 0.0
-        # the manifest hashes an artifact a MiB at a time; this one takes three
         manifest = json.loads((out / "manifest.json").read_text())
         listed = {a["path"]: a for a in manifest["artifacts"]}
-        data = (out / "density.csv").read_bytes()
-        assert len(data) > 2 * 2**20 and listed["density.csv"]["bytes"] == len(data)
-        assert listed["density.csv"]["sha256"] == hashlib.sha256(data).hexdigest()
+        assert set(listed) == {"density.wpf", "summary.json"}
+        data = (out / "density.wpf").read_bytes()
+        assert listed["density.wpf"]["bytes"] == len(data) == 48 + 201 * 201 * 8
+        assert listed["density.wpf"]["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+def test_record_hashes_an_artifact_a_mib_at_a_time(tmp_path):
+    # a writer of more than 2 MiB: the hash reads it back in three chunks
+    data = np.random.default_rng(0).bytes(2 * 2**20 + 12345)
+    run = _Run(out_dir=tmp_path)
+    run.record("blob.bin", lambda path: path.write_bytes(data))
+    assert run.artifacts == [{"path": "blob.bin", "sha256": hashlib.sha256(data).hexdigest(),
+                              "bytes": len(data)}]
 
 
 class TestCosmoKind:
@@ -436,6 +445,13 @@ class TestCosmoKind:
         assert sum(probs) == pytest.approx(1.0)
         scale = (out / "scale_factor.csv").read_text().splitlines()
         assert scale[0] == "eta,a,S"
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed = {a["path"]: a for a in manifest["artifacts"]}
+        assert set(listed) == {"scale_factor.csv", "spectrum.csv", "ensemble.csv",
+                               "density.wpf", "summary.json"}
+        data = (out / "density.wpf").read_bytes()
+        assert listed["density.wpf"]["bytes"] == len(data) == 48 + 121 * 121 * 8
+        assert listed["density.wpf"]["sha256"] == hashlib.sha256(data).hexdigest()
 
     def run_table_potential(self, tmp_path, table: str) -> int:
         (tmp_path / "pot.csv").write_text(table)

@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from vanhove import (
     ClassicalDensity,
@@ -35,7 +38,6 @@ from vanhove.wigner import (
     harmonic_field,
     kinetic_field,
     momentum_field,
-    phase_field_to_csv,
 )
 from ridge import free_flight_ridge
 
@@ -429,6 +431,32 @@ class TestMassWithin:
         assert inside + outside == pytest.approx(density.h_mass(), abs=1e-12)
 
 
+class TestEdgeFraction:
+    def test_share_of_the_border_cells(self):
+        # 5 x 4 cells valued 1..20: the 6 interior cells hold 63 of 210
+        pgrid = PhaseGrid((0.0, 1.0), (0.0, 1.0), 5, 4)
+        values = np.arange(1.0, 21.0).reshape(5, 4)
+        hfield = harmonic_field(pgrid)
+        density = ClassicalDensity(PhaseField(pgrid, values), 0.1, hfield)
+        assert density.edge_fraction() == 147.0 / 210.0
+
+    @pytest.mark.parametrize("nq, np_", [(2, 2), (2, 5), (5, 2)])
+    def test_every_cell_on_the_border(self, nq, np_):
+        pgrid = PhaseGrid((0.0, 1.0), (0.0, 1.0), nq, np_)
+        density = ClassicalDensity(PhaseField(pgrid, np.ones((nq, np_))), 0.1,
+                                   harmonic_field(pgrid))
+        assert density.edge_fraction() == 1.0
+
+    def test_share_far_below_rounding_of_the_total(self):
+        # border cells 1e-30, the 3 x 2 interior cells 1: a share of 14e-30
+        # / 6, which (total - interior) / total would read as 0
+        pgrid = PhaseGrid((0.0, 1.0), (0.0, 1.0), 5, 4)
+        values = np.full((5, 4), 1e-30)
+        values[1:-1, 1:-1] = 1.0
+        density = ClassicalDensity(PhaseField(pgrid, values), 0.1, harmonic_field(pgrid))
+        assert density.edge_fraction() == pytest.approx(14e-30 / 6.0, rel=1e-15, abs=0.0)
+
+
 class TestIO:
     def test_binary_round_trip(self, tmp_path):
         pgrid = PhaseGrid((-1.5, 2.0), (-0.5, 3.0), 17, 23)
@@ -436,23 +464,62 @@ class TestIO:
         field = PhaseField(pgrid, rng.standard_normal((17, 23)))
         path = tmp_path / "field.wpf"
         write_phase_field(field, path)
-        assert path.stat().st_size == 32 + 17 * 23 * 8
+        assert path.stat().st_size == 48 + 17 * 23 * 8
+        assert path.read_bytes()[:4] == b"WPF2"
         back = read_phase_field(path)
         assert np.array_equal(back.values, field.values)
         assert back.grid.nq == 17 and back.grid.np == 23
-        assert back.grid.q_range[0] == pytest.approx(-1.5, abs=1e-6)
+        assert back.grid.q_range == (-1.5, 2.0) and back.grid.p_range == (-0.5, 3.0)
+
+    @given(nq=st.integers(2, 40), np_=st.integers(2, 40),
+           bounds=st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_binary_round_trip_is_bit_exact(self, tmp_path_factory, nq, np_, bounds, seed):
+        # ranges that float32 cannot hold, which a WPF1 header would round
+        assume(all(float(np.float32(b)) != b for b in bounds))
+        q_range, p_range = sorted(bounds[:2]), sorted(bounds[2:])
+        assume(q_range[0] < q_range[1] and p_range[0] < p_range[1])
+        pgrid = PhaseGrid(q_range, p_range, nq, np_)
+        values = np.random.default_rng(seed).standard_normal((nq, np_))
+        values[0, 0] = -0.0
+        field = PhaseField(pgrid, values)
+        path = tmp_path_factory.mktemp("wpf") / "field.wpf"
+        write_phase_field(field, path)
+        back = read_phase_field(path)
+        assert back.grid == field.grid
+        assert back.values.tobytes() == field.values.tobytes()
+
+    def test_reads_wpf1(self, tmp_path):
+        # the 32-byte WPF1 header holds float32 ranges
+        values = np.arange(6.0).reshape(2, 3)
+        path = tmp_path / "old.wpf"
+        header = struct.pack("<4sII4f4x", b"WPF1", 2, 3, -1.3, 0.7, 0.0, 2.0)
+        path.write_bytes(header + values.astype("<f8").tobytes())
+        back = read_phase_field(path)
+        assert back.grid == PhaseGrid((float(np.float32(-1.3)), float(np.float32(0.7))),
+                                      (0.0, 2.0), 2, 3)
+        assert back.values.tobytes() == values.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.wpf"
         path.write_bytes(b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             read_phase_field(path)
+        path.write_bytes(b"WPF3" + b"\x00" * 60)
+        with pytest.raises(ValueError, match="magic"):
+            read_phase_field(path)
+        # a header cut short
+        path.write_bytes(b"WPF2" + b"\x00" * 40)
+        with pytest.raises(ValueError, match="44 bytes"):
+            read_phase_field(path)
 
     def test_csv_format(self, tmp_path):
+        # a 2 x 2 phase field's q, p and value columns
         pgrid = PhaseGrid((0, 1), (0, 1), 2, 2)
         field = PhaseField(pgrid, [[0.0, 1.0], [2.0, 3.0]])
+        q, p = np.repeat(pgrid.q, pgrid.np), np.tile(pgrid.p, pgrid.nq)
         path = tmp_path / "field.csv"
-        phase_field_to_csv(field, path)
+        write_csv(path, ["q", "p", "value"], [q, p, field.values.ravel()])
         lines = path.read_bytes().split(b"\n")
         assert lines[0] == b"q,p,value"
         assert len(lines) == 6
@@ -464,9 +531,10 @@ class TestIO:
         values = np.random.default_rng(5).standard_normal((7, 11))
         q, p = np.repeat(pgrid.q, pgrid.np), np.tile(pgrid.p, pgrid.nq)
         header = ["q", "p", "value"]
-        path, reference = tmp_path / "field.csv", tmp_path / "reference.csv"
-        phase_field_to_csv(PhaseField(pgrid, values), path)
-        write_csv(reference, header, [q, p, values.ravel()])
-        assert path.read_bytes() == reference.read_bytes()
+        path = tmp_path / "field.csv"
+        write_csv(path, header, [q, p, values.ravel()])
+        cells = zip(q.tolist(), p.tolist(), values.ravel().tolist())
+        expected = "q,p,value\n" + "".join(f"{a:.16e},{b:.16e},{v:.16e}\n" for a, b, v in cells)
+        assert path.read_bytes() == expected.encode()
         rows = np.array(read_csv(path, header))
         assert rows.tobytes() == np.column_stack([q, p, values.ravel()]).tobytes()
