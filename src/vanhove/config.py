@@ -223,7 +223,6 @@ KIND_SCHEMAS = {
             "a0": _NONNEG,
             "branch": {"enum": [1, -1]},
             "eta_max": _POS,
-            "tol": _POS,
             "samples": {"type": "integer", "minimum": 2},
             "modes": MODES,
             "n_max": {"type": "integer", "minimum": 1},

@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._csv import float_texts, write_csv
 from .errors import (
@@ -85,6 +84,18 @@ class Potential:
                 raise ValueError("table potential abscissae must be increasing")
             if np.any(tv < 0):
                 raise InvalidPotentialError("table potential has negative values")
+            # a zero of V inside (0, a1) is a point the path may rest at or
+            # leave: the scale factor is not unique there.  Below a[0] the
+            # table extends V[0], so V[0] = 0 with a[0] > 0 is one too.
+            inside = (ta > 0) & (ta < self.a1)
+            inside[0] = ta[0] > 0
+            zeros = np.flatnonzero(inside & (tv == 0))
+            if zeros.size:
+                i = zeros[0]
+                raise InvalidPotentialError(
+                    f"table potential vanishes at sample {i} (a = {float(ta[i])}) "
+                    f"inside (0, a1 = {self.a1}), where the scale factor is not unique"
+                )
             object.__setattr__(self, "table_a", ta)
             object.__setattr__(self, "table_v", tv)
         else:
@@ -146,74 +157,70 @@ class ScaleFactorSolution:
 
 
 def solve_scale_factor(
-    potential: Potential,
-    a0: float,
-    branch: int,
-    eta_max: float,
-    tol: float = 1e-10,
-    n_samples: int = 513,
+    potential: Potential, a0: float, branch: int, eta_max: float, n_samples: int = 513
 ) -> ScaleFactorSolution:
-    """Integrate da/deta = branch * sqrt(2 V(a)) with adaptive error control.
-
-    The right-hand side evaluates the potential clamped to its support, so
-    the expanding branch crosses a1 cleanly and is frozen exactly at a1
-    from the detected crossing time on.  The contracting branch freezes the
-    same way if it reaches a = 0.
-    """
+    """Solve da/deta = branch * sqrt(2 V(a)), dS/deta = 2 V(a) in closed form.
+    From the exact crossing time ``freeze_eta`` (None past eta_max) a is held at
+    the boundary it reaches, a1 or 0.  A start at rest, V(a0) = 0, stays there."""
     if branch not in (1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
     if not 0.0 <= a0 <= potential.a1:
         raise ValueError(f"a0 must lie in [0, a1] = [0, {potential.a1}], got {a0}")
-    if tol <= 0 or eta_max <= 0:
-        raise ValueError("need tol > 0 and eta_max > 0")
-
-    a1 = potential.a1
+    if eta_max <= 0:
+        raise ValueError(f"eta_max must be positive, got {eta_max}")
     etas = np.linspace(0.0, eta_max, n_samples)
-    boundary = a1 if branch == 1 else 0.0
+    boundary = potential.a1 if branch == 1 else 0.0
+    if a0 == boundary or potential.value(a0) == 0.0:
+        rest = np.full_like(etas, a0), np.zeros_like(etas), 0.0 if a0 == boundary else None
+        return ScaleFactorSolution(branch, a0, etas, *rest)
+    path = _cap_path if potential.family == "quadratic-cap" else _linear_path
+    freeze_eta, along = path(potential, a0, branch)
+    a_out, s_out = along(np.minimum(etas, freeze_eta))
+    a_out[etas >= freeze_eta] = boundary
+    frozen = float(freeze_eta) if freeze_eta <= eta_max else None
+    return ScaleFactorSolution(branch, a0, etas, a_out, s_out, frozen)
 
-    if a0 == boundary:
-        s0 = 0.0
-        return ScaleFactorSolution(
-            branch, a0, etas, np.full_like(etas, boundary),
-            np.full_like(etas, s0), freeze_eta=0.0,
-        )
 
-    def rhs(_eta, y):
-        v = potential.value(min(max(y[0], 0.0), a1))
-        root = np.sqrt(2.0 * v)
-        return (branch * root, 2.0 * v)
+def _linear_path(potential, a0, branch):
+    """V linear between knots (a table's samples; the constant family is one
+    segment), so u = sqrt(2 V) is linear in eta: from a knot (a_s, u_s, S_s),
+    a = a_s + branch t (u_s + u) / 2 and S = S_s + t (u_s^2 + u_s u + u^2) / 3."""
+    lo, hi = (a0, potential.a1) if branch == 1 else (0.0, a0)
+    inner = potential.table_a if potential.family == "table" else np.empty(0)
+    a = np.unique(np.r_[lo, inner[(inner > lo) & (inner < hi)], hi])[::branch]
+    v = potential.value(a)
+    # collinear knots are dropped: a flat table runs the constant family's arithmetic
+    slope = np.diff(v) / np.diff(a)
+    keep = np.r_[True, slope[1:] != slope[:-1], True]
+    a, u = a[keep], np.sqrt(2.0 * v[keep])
+    d_eta = 2.0 * np.abs(np.diff(a)) / (u[:-1] + u[1:])
+    eta_k = np.r_[0.0, np.cumsum(d_eta)]
+    s_k = np.r_[0.0, np.cumsum(d_eta * (u[:-1] ** 2 + u[:-1] * u[1:] + u[1:] ** 2) / 3.0)]
 
-    def hit_boundary(_eta, y):
-        return y[0] - boundary
+    def along(eta):
+        i = np.searchsorted(eta_k[1:-1], eta, side="right")
+        t, u_s = eta - eta_k[i], u[i]
+        u_t = u_s + (u[i + 1] - u_s) * (t / d_eta[i])
+        s = s_k[i] + t * (u_s**2 + u_s * u_t + u_t**2) / 3.0
+        return a[i] + branch * t * (u_s + u_t) / 2.0, s
 
-    hit_boundary.terminal = True
-    hit_boundary.direction = float(branch)
+    return eta_k[-1], along
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, eta_max),
-        (a0, 0.0),
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-2,
-        dense_output=True,
-        events=hit_boundary,
-    )
-    if not sol.success:
-        raise RuntimeError(f"scale-factor integration failed: {sol.message}")
 
-    freeze_eta = float(sol.t_events[0][0]) if sol.t_events[0].size else None
-    a_out = np.empty_like(etas)
-    s_out = np.empty_like(etas)
-    live = etas <= (freeze_eta if freeze_eta is not None else eta_max)
-    if np.any(live):
-        dense = sol.sol(etas[live])
-        a_out[live], s_out[live] = dense[0], dense[1]
-    if freeze_eta is not None:
-        s_frozen = float(sol.sol(freeze_eta)[1])
-        a_out[~live] = boundary
-        s_out[~live] = s_frozen
-    return ScaleFactorSolution(branch, a0, etas, a_out, s_out, freeze_eta)
+def _cap_path(potential, a0, branch):
+    """V = lam (1 - (a/a1)^2): a = a1 sin(theta0 + branch r eta) with
+    r = sqrt(2 lam) / a1, frozen at theta = pi/2 (expanding) or 0; with
+    delta = r eta, S = (lam / r) (delta + cos(theta + theta0) sin delta)."""
+    r = np.sqrt(2.0 * potential.lam) / potential.a1
+    theta0 = np.arcsin(a0 / potential.a1)
+
+    def along(eta):
+        delta = r * eta
+        theta = theta0 + branch * delta
+        s = potential.lam / r * (delta + np.cos(theta + theta0) * np.sin(delta))
+        return potential.a1 * np.sin(theta), s
+
+    return (np.pi / 2.0 - theta0 if branch == 1 else theta0) / r, along
 
 
 # ---------------------------------------------------------------------------

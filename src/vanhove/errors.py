@@ -30,7 +30,7 @@ class NotEquilibratedError(VanHoveError):
 
 
 class InvalidPotentialError(VanHoveError):
-    """Potential evaluated to a negative value inside its support."""
+    """Potential is negative inside its support, or a table vanishes inside it."""
 
 
 class DegenerateSupportError(VanHoveError):

@@ -380,7 +380,6 @@ def _run_cosmo(config, run: _Run, seed) -> None:
             config["a0"],
             config["branch"],
             config["eta_max"],
-            config.get("tol", 1e-10),
             config.get("samples", 513),
         )
         run.record("scale_factor.csv", solution.to_csv)

@@ -209,16 +209,16 @@ def test_criterion_7_quantum_classical_consistency():
 def test_criterion_8_scale_factor():
     lam, a1, a0 = 2.0, 1.0, 0.2
     potential = vh.constant_potential(lam, a1)
-    solution = vh.solve_scale_factor(potential, a0, branch=1, eta_max=1.0, tol=1e-10)
+    solution = vh.solve_scale_factor(potential, a0, branch=1, eta_max=1.0)
     root = np.sqrt(2.0 * lam)
     linear = np.minimum(a0 + root * solution.eta_samples, a1)
     max_err = float(np.max(np.abs(solution.a_samples - linear)))
     frozen = solution.eta_samples > solution.freeze_eta
     freeze_exact = bool(np.all(solution.a_samples[frozen] == a1))
-    ok = max_err < 1e-8 and freeze_exact
+    ok = max_err < 1e-15 and freeze_exact
     report(
         8,
-        f"constant-potential a(eta) max error {max_err:.1e} < 1e-8, "
+        f"constant-potential a(eta) max error {max_err:.1e} < 1e-15, "
         f"frozen at a1 exactly: {freeze_exact}",
         ok,
     )

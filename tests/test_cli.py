@@ -490,6 +490,22 @@ class TestCosmoKind:
         err = capsys.readouterr().err
         assert "pot.csv line 3 has 3 cells, expected 2 (a,V)" in err
 
+    def test_table_potential_zero_inside_support_is_2(self, tmp_path, capsys):
+        # the scale factor through an interior zero of V is not unique
+        assert self.run_table_potential(tmp_path, "a,V\n0.0,2.0\n0.5,0.0\n1.0,2.0\n") == 2
+        err = capsys.readouterr().err
+        assert "sample 1 (a = 0.5)" in err
+        assert list((tmp_path / "table").iterdir()) == []
+
+    def test_tol_is_refused(self, tmp_path, capsys):
+        # the scale factor is solved in closed form: no tolerance to set
+        cfg = self.config()
+        cfg["tol"] = 1e-10
+        rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "'tol'" in capsys.readouterr().err
+
     def test_a_out_must_clear_support(self, tmp_path, capsys):
         cfg = self.config()
         cfg["modes"]["a_out"] = 0.5

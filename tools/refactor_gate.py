@@ -1,7 +1,8 @@
 """Refactor gate: artifact sha256s of the four benchmark workloads (seed 1),
 two validate configs (one with a rank-1 regular kernel), both oracle
-targets, an evolve run whose state has a dense (table) regular kernel and
-a small cosmo run whose potential is a table, each run through
+targets, an evolve run whose state has a dense (table) regular kernel, and
+two small cosmo runs whose potentials are a table and the quadratic cap
+(so each closed-form scale factor is byte-checked), each run through
 ``vanhove.cli.main`` in a temporary directory.
 
 Usage: python3 tools/refactor_gate.py [--against EARLIER_OUTPUT.json]
@@ -57,6 +58,12 @@ RUNS = {
     "cosmo-table-potential": {
         **WORKLOADS["cosmology"].make_config(1, True),
         "potential": {"family": "table", "path": "potential.csv", "a1": 1.0},
+    },
+    # the same with the quadratic cap: a0 = 0.2 expanding freezes at
+    # (pi/2 - asin 0.2) / 2 = 0.685, inside eta_max = 1
+    "cosmo-quadratic-cap": {
+        **WORKLOADS["cosmology"].make_config(1, True),
+        "potential": {"family": "quadratic-cap", "lambda": 2.0, "a1": 1.0},
     },
 }
 
