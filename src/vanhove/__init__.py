@@ -76,7 +76,6 @@ from .cosmology import (
     Potential,
     ScaleFactorSolution,
     TrajectoryEnsemble,
-    adiabaticity_ratio,
     constant_potential,
     cosmo_expectation,
     cosmo_weak_limit,

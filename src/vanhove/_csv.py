@@ -1,13 +1,9 @@
 """CSV artifacts and input tables: a header line, then LF-terminated rows.
 
-Floats are written as CPython's ``"%.16e" % x`` (17 significant digits,
-so every float64 reads back to the same value), integers as ``%d`` and
-strings and objects as ``%s``.
-
-A column is a 1-d array, formatted once per distinct value: floats are
-keyed by their bit pattern (one ``np.unique`` sort per column), so
-``-0.0`` and ``0.0`` (and every NaN payload) keep their own text, integers
-by value, and str and object cells are each their own value.
+Every column is numeric: floats are written as CPython's ``"%.16e" % x``
+(17 significant digits, so every float64 reads back to the same value,
+and ``-0.0`` and every NaN payload keep CPython's text), integers as
+``%d``.  A column of any other dtype is refused.
 
 Float digits come from numpy, for all the floats of a table in
 one pass, ``_CHUNK`` (4,096) values at a time.  For finite x != 0 with
@@ -30,18 +26,12 @@ after the lead digit become two words of 8 ASCII digits (SWAR: split at
 text ``e+dd`` or ``e-ddd`` they fill three 64-bit words per value, and a
 set sign bit (not on NaN) shifts the text one byte up behind a ``-``.
 Zero, ``nan`` (every payload), ``inf`` and ``-inf`` get CPython's texts.
+The three words of a value, viewed as 24 bytes, are its NUL-padded text.
 
-Rows are assembled as bytes.  Each column's texts become slots of its
-longest text plus one byte: the text, the separator (``,`` or, in
-the last column, LF) and pad bytes.  ``_BLOCK_ROWS`` (1,024) rows at a
-time, the slots are gathered by cell into one structured block and the
-pad bytes are dropped, unless every slot is full.  Str cells are encoded
-as the text-mode file would encode them, and the pad is a byte from 0x80
-to 0xFF that no str cell uses (0xFF, which UTF-8 never writes, unless a
-single-byte encoding holds it).  Besides the columns, the writer holds the
-slots, one index per cell and two blocks of about 1,024 rows of text
-(70 KB for three float columns); a formatting chunk holds a few hundred
-bytes per value, about 1 MB.
+Rows are written as bytes, ``_BLOCK_ROWS`` (1,024) at a time, by one
+bytes format of the float texts (``%s``) and the integers (``%d``).
+Besides the columns, the writer holds one text or int per cell; a
+formatting chunk holds a few hundred bytes per value, about 1 MB.
 
 Tables are read by one ``np.loadtxt`` call, with ``,`` as the only
 delimiter and no quotes or comments; a header check on the first line and
@@ -74,17 +64,15 @@ _SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter for 53-bit mantissas
 _J_MIN = -293
 _POWERS = tuple(np.full(635, np.nan) for _ in range(3))
 _POWER_EXPONENTS = np.zeros(635, dtype=np.int32)
-# "e+dd" / "e-ddd" as little-endian words, and the length of the unsigned
-# text (lead digit, ".", 16 digits, exponent), by k + 324
+# "e+dd" / "e-ddd" as little-endian words, by k + 324
 _EXPONENTS = [b"e%+03d" % k for k in range(-324, 309)]
 _EXPONENT_WORDS = np.array(_EXPONENTS, dtype="S8").view(np.uint64)
-_TEXT_LENGTHS = np.array([18 + len(text) for text in _EXPONENTS])
 _NAN, _INF, _MINUS = (int.from_bytes(b, "little") for b in (b"nan", b"inf", b"-"))
 
 
 def _build_powers(js) -> None:
     """Fill the double-double 10**j for each j, exactly from Python ints."""
-    for j in js.tolist():
+    for j in js:
         if j >= 0:
             num = 10**j
             b = num.bit_length()
@@ -107,7 +95,7 @@ def _scaled(m, e, k):
     index = 16 - k - _J_MIN
     missing = np.isnan(_POWERS[0].take(index))
     if missing.any():
-        _build_powers(np.unique(16 - k[missing]))
+        _build_powers(set((16 - k[missing]).tolist()))
     high, low, lo = (table.take(index) for table in _POWERS)
     hi = high + low
     split = _SPLIT * m
@@ -176,76 +164,29 @@ def _format_chunk(x):
     w0 = lead | 0x2E30 | first << 16
     w1 = first >> 48 | second << 16
     w2 = second >> 48 | _EXPONENT_WORDS.take(k + 324) << 16
-    lengths = _TEXT_LENGTHS.take(k + 324)
     special = np.flatnonzero(~finite)
     w0[special] = np.where(np.isnan(x[special]), _NAN, _INF)
     w1[special] = w2[special] = 0
-    lengths[special] = 3
     # a set sign bit (not on NaN) shifts the text one byte up behind a "-"
     minus = (bits >> 63 == 1) & ~np.isnan(x)
     one = minus.astype(np.uint64)
     shift = one << 3
-    words = np.stack([w0 << shift | one * _MINUS, w1 << shift | (w0 >> 56) * one,
-                      w2 << shift | (w1 >> 56) * one], axis=1)
-    return words, lengths + minus
+    return np.stack([w0 << shift | one * _MINUS, w1 << shift | (w0 >> 56) * one,
+                     w2 << shift | (w1 >> 56) * one], axis=1)
 
 
-def _format(values):
-    """``"%.16e" % v`` for each float64 value, as (n, 3) uint64 words of
-    NUL-padded text and the text lengths."""
-    parts = [_format_chunk(values[i:i + _CHUNK]) for i in range(0, values.size, _CHUNK)]
-    if not parts:
-        return np.empty((0, 3), dtype=np.uint64), np.empty(0, dtype=np.int64)
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-
-
-def float_texts(values) -> list[str]:
-    """``"%.16e" % v`` for each of ``values``, from the writer's formatter."""
-    words, _ = _format(np.asarray(values, dtype=np.float64).ravel())
-    return words.view("S24").ravel().astype(str).tolist()
-
-
-def _factored(col):
-    """A plain column as (values, each cell's index into them): its distinct
-    floats keyed by bit pattern, its distinct integers, or its str and
-    object cells each on their own."""
-    if col.dtype.kind == "f":
-        keys, index = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-        return keys.view(col.dtype), index.ravel()
-    if col.dtype.kind in "iu":
-        values, index = np.unique(col, return_inverse=True)
-        return values, index.ravel()
-    return col, np.arange(col.size)
-
-
-def _column_texts(columns, encoding: str):
-    """Per column, the texts of its values as a NUL-padded uint8 array,
-    their lengths, and each cell's index into them.  The floats of all the
-    columns go through one formatter call."""
-    pairs = [_factored(col) for col in columns]
-    floats = [values.astype(np.float64) for values, _ in pairs if values.dtype.kind == "f"]
-    words, lengths = _format(np.concatenate(floats or [np.empty(0)]))
-    words, start = words.view(np.uint8), 0
-    for values, index in pairs:
-        if values.dtype.kind == "f":
-            stop = start + values.size
-            yield words[start:stop], lengths[start:stop], index
-            start = stop
-            continue
-        if values.dtype.kind in "iu":
-            values = values.tolist()
-            # one format operation for all the values, cut at the newlines
-            raw = [t.encode() for t in (("%d\n" * len(values)) % tuple(values)).split("\n")[:-1]]
-        else:
-            raw = [str(v).encode(encoding) for v in values.tolist()]
-        text = np.array(raw, dtype="S")
-        yield (text.view(np.uint8).reshape(len(raw), text.itemsize),
-               np.array([len(r) for r in raw], dtype=np.int64), index)
+def _format(values) -> list[bytes]:
+    """``"%.16e" % v`` for each float64 value."""
+    texts = []
+    for i in range(0, values.size, _CHUNK):
+        # tolist drops the NUL padding of each 24-byte text
+        texts += _format_chunk(values[i:i + _CHUNK]).view("S24").ravel().tolist()
+    return texts
 
 
 def write_csv(path, header: list[str], columns) -> None:
-    """Write equal-length 1-d columns (float, int, str or object) under
-    ``header``; str and object cells are written with ``%s``."""
+    """Write equal-length 1-d float or integer columns under ``header``;
+    a column of any other dtype is refused, naming it."""
     if len(columns) != len(header):
         raise ValueError(f"need one 1-d column of equal length per name in {header}")
     columns = [np.asarray(col) for col in columns]
@@ -254,34 +195,23 @@ def write_csv(path, header: list[str], columns) -> None:
         if col.shape != (rows,):
             raise ValueError(f"column {name} has shape {col.shape}, need ({rows},): "
                              f"need one 1-d column of equal length per name in {header}")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.flush()
-        texts = list(_column_texts(columns, fh.encoding))
-        used = np.zeros(256, dtype=bool)
-        for col, (text, _, _) in zip(columns, texts):
-            if col.dtype.kind not in "fiu":
-                used[text.ravel()] = True
-        free = np.flatnonzero(~used[128:])
-        if not free.size:
-            raise ValueError("str cells use every byte from 0x80 to 0xFF; none is left to pad with")
-        pad = 128 + int(free[-1])
-        slots, full = [], True
-        for j, (text, lengths, _) in enumerate(texts):
-            width = int(lengths.max(initial=0)) + 1
-            slot = np.zeros((len(lengths), width), dtype=np.uint8)
-            slot[:, : min(width, text.shape[1])] = text[:, :width]
-            slot[np.arange(width) > lengths[:, None]] = pad
-            slot[np.arange(len(lengths)), lengths] = ord("\n" if j == len(texts) - 1 else ",")
-            slots.append(slot.view(f"V{width}").ravel())
-            full &= bool((lengths == width - 1).all())
-        block = np.empty(min(rows, _BLOCK_ROWS), dtype=[("", s.dtype) for s in slots])
+        if col.dtype.kind not in "fiu":
+            raise ValueError(f"column {name} has dtype {col.dtype}; "
+                             f"only float and integer columns are written")
+    # the floats of all the columns in one formatter call, as %s cells;
+    # integers as Python ints, as %d cells
+    is_float = [col.dtype.kind == "f" for col in columns]
+    floats = [col.astype(np.float64) for col, f in zip(columns, is_float) if f]
+    texts = iter(_format(np.concatenate(floats or [np.empty(0)])))
+    cells = [list(itertools.islice(texts, rows)) if f else col.tolist()
+             for col, f in zip(columns, is_float)]
+    line = b",".join(b"%s" if f else b"%d" for f in is_float) + b"\n"
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, rows, _BLOCK_ROWS):
-            part = block[: rows - start]
-            for name, slot, (_, _, index) in zip(block.dtype.names, slots, texts):
-                part[name] = slot.take(index[start:start + _BLOCK_ROWS])
-            data = part.view(np.uint8)
-            fh.buffer.write(data if full else data[data != pad])
+            block = zip(*(col[start:start + _BLOCK_ROWS] for col in cells))
+            values = tuple(itertools.chain.from_iterable(block))
+            fh.write(line * min(_BLOCK_ROWS, rows - start) % values)
 
 
 def read_csv(path: Path, header: list[str]) -> np.ndarray:

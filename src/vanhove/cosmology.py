@@ -15,14 +15,13 @@ resolve into an ensemble of weighted linear trajectories.
 """
 from __future__ import annotations
 
-import itertools
 # nothing here runs a pool; perfbench/spans.py patches this name when it traces
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import float_texts, write_csv
+from ._csv import write_csv
 from .errors import (
     IncompatibleBasisError,
     InvalidPotentialError,
@@ -42,8 +41,6 @@ from .wigner import (
 DEFAULT_EPS_SHELL = 1e-9
 IMAG_TOL = 1e-10
 CROSS_BLOCK_TOL = 1e-10
-# geometry counts as frozen when |dOmega/deta| / Omega^2 stays below this
-ADIABATICITY_BOUND = 1e-3
 # relative slack of the Fock-enumeration prune: far above the rounding gap
 # (about 2 M ulps) between a running sum of M terms and np.dot of them
 _PRUNE_SLACK = 1e-9
@@ -263,15 +260,6 @@ def sqrt_prime_modes(count: int, scale: float = 1.0) -> np.ndarray:
             continue
         candidate += 1
     return scale * np.sqrt(np.array(primes, dtype=float))
-
-
-def adiabaticity_ratio(mode_set: ModeSet, potential: Potential) -> float:
-    """max over modes of |dOmega/deta| / Omega^2 at the frozen scale; the
-    geometry is treated as constant only when this is small."""
-    freqs = mode_set.frequencies()
-    da = np.sqrt(2.0 * potential.value(mode_set.a_out))
-    d_omega = (mode_set.m**2 * mode_set.a_out / freqs) * da
-    return float(np.max(d_omega / freqs**2))
 
 
 @dataclass(frozen=True)
@@ -511,12 +499,13 @@ class TrajectoryEnsemble:
             raise ValueError(f"trajectory probabilities sum to {total!r}, expected 1")
 
     def to_csv(self, path) -> None:
-        header = ["component", "l_values", "a0", "probability"]
-        texts = iter(float_texts([v for e in self.entries for v in e.l_values]))
-        l_cells = [";".join(itertools.islice(texts, len(e.l_values))) for e in self.entries]
+        """``component,l0,...,l{F-1},a0,probability``: one float column per
+        invariant field, in the order of the fields."""
+        l_values = np.array([e.l_values for e in self.entries], dtype=float)
+        header = ["component", *(f"l{f}" for f in range(l_values.shape[1])), "a0", "probability"]
         a0 = [e.a0 for e in self.entries]
         probability = [e.probability for e in self.entries]
-        write_csv(path, header, [range(len(a0)), l_cells, a0, probability])
+        write_csv(path, header, [range(len(a0)), *l_values.T, a0, probability])
 
 
 def check_l_values(l_values, shell_sizes, n_fields: int) -> None:

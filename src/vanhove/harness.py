@@ -408,11 +408,8 @@ def _run_cosmo(config, run: _Run, seed) -> None:
             run.record("density.wpf", lambda p: write_phase_field(density.field, p))
 
     with run.stage("summary"):
-        adiabaticity = float(cosmo.adiabaticity_ratio(mode_set, potential))
         summary = {
             "freeze_eta": solution.freeze_eta,
-            "adiabaticity": adiabaticity,
-            "adiabatic": bool(adiabaticity < cosmo.ADIABATICITY_BOUND),
             "basis_size": basis.size,
             "truncated_count": basis.truncated_count,
             "shell_count": len(state.shells),

@@ -12,10 +12,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vanhove import ModeSet, enumerate_fock, sqrt_prime_modes
+from vanhove import (
+    CosmoState,
+    MollifierPolicy,
+    ModeSet,
+    PhaseGrid,
+    constant_potential,
+    cosmo_weak_limit,
+    diagonalize_remaining,
+    enumerate_fock,
+    solve_scale_factor,
+    sqrt_prime_modes,
+    trajectory_ensemble,
+)
+from vanhove._csv import read_csv
 from vanhove.cli import main
 from vanhove.config import ConfigError, config_hash, load_config
+from vanhove.cosmology import DEFAULT_EPS_SHELL
 from vanhove.harness import _Run, run_experiment
+from vanhove.wigner import coordinate_field, momentum_field
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -440,7 +455,7 @@ class TestCosmoKind:
         assert spectrum[0] == "omega,label,eigenvalue"
         assert len(spectrum) == 5
         ensemble = (out / "ensemble.csv").read_text().splitlines()
-        assert ensemble[0] == "component,l_values,a0,probability"
+        assert ensemble[0] == "component,l0,a0,probability"
         probs = [float(line.split(",")[-1]) for line in ensemble[1:]]
         assert sum(probs) == pytest.approx(1.0)
         scale = (out / "scale_factor.csv").read_text().splitlines()
@@ -452,6 +467,40 @@ class TestCosmoKind:
         data = (out / "density.wpf").read_bytes()
         assert listed["density.wpf"]["bytes"] == len(data) == 48 + 121 * 121 * 8
         assert listed["density.wpf"]["sha256"] == hashlib.sha256(data).hexdigest()
+
+    def test_csv_artifacts_read_back_bit_exact(self, tmp_path):
+        # two invariant fields, so the ensemble has two l columns; every CSV
+        # reads back to the objects the run computes, bit for bit
+        cfg = self.config()
+        cfg["trajectory"]["invariants"] = [{"type": "momentum"}, {"type": "coordinate"}]
+        cfg["trajectory"]["l_values"] = [[[0.3, 0.0]], [[1.0, 0.0], [-1.0, 0.0]], [[0.6, 0.0]]]
+        out = tmp_path / "out"
+        assert main(["cosmo", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+
+        solution = solve_scale_factor(constant_potential(2.0, 1.0), 0.2, 1, 1.0)
+        modes = ModeSet(cfg["modes"]["k_values"], m=0.0, a_out=20.0)
+        matrix = np.array(cfg["state"]["re"], dtype=complex)
+        state = CosmoState(enumerate_fock(modes, n_max=1), matrix, DEFAULT_EPS_SHELL)
+        pointers = diagonalize_remaining(cosmo_weak_limit(state))
+        grid = PhaseGrid(**cfg["trajectory"]["phase_grid"])
+        ensemble, _ = trajectory_ensemble(
+            pointers, [momentum_field(grid), coordinate_field(grid)],
+            MollifierPolicy(cfg["trajectory"]["epsilon"]), [0.0],
+            l_values=cfg["trajectory"]["l_values"])
+
+        expected = {
+            "scale_factor.csv": (["eta", "a", "S"], np.column_stack(
+                [solution.eta_samples, solution.a_samples, solution.s_samples])),
+            "spectrum.csv": (["omega", "label", "eigenvalue"], np.array(
+                [(pb.omega, i, v) for pb in pointers for i, v in enumerate(pb.eigenvalues)])),
+            "ensemble.csv": (["component", "l0", "l1", "a0", "probability"], np.array(
+                [(i, *e.l_values, e.a0, e.probability)
+                 for i, e in enumerate(ensemble.entries)])),
+        }
+        assert len(ensemble.entries) == 4
+        for name, (header, table) in expected.items():
+            assert read_csv(out / name, header).tobytes() == table.tobytes(), name
 
     def run_table_potential(self, tmp_path, table: str) -> int:
         (tmp_path / "pot.csv").write_text(table)

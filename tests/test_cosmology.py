@@ -14,7 +14,6 @@ from vanhove import (
     ModeSet,
     NotEquilibratedError,
     PhaseGrid,
-    adiabaticity_ratio,
     constant_potential,
     cosmo_expectation,
     cosmo_weak_limit,
@@ -318,17 +317,6 @@ class TestModes:
         k = sqrt_prime_modes(4)
         assert np.allclose(k, np.sqrt([2.0, 3.0, 5.0, 7.0]))
         assert np.all(np.diff(k) > 0)
-
-    def test_adiabaticity_vanishes_outside_support(self):
-        pot = constant_potential(2.0, a1=1.0)
-        modes = ModeSet([1.0, 2.0], m=1.0, a_out=20.0)
-        assert adiabaticity_ratio(modes, pot) == 0.0
-        assert adiabaticity_ratio(modes, pot) < 1e-3
-
-    def test_adiabaticity_nonzero_inside_support(self):
-        pot = constant_potential(2.0, a1=30.0)
-        modes = ModeSet([1.0], m=1.0, a_out=20.0)
-        assert adiabaticity_ratio(modes, pot) > 0.0
 
 
 class TestEnumerateFock:

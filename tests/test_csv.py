@@ -1,15 +1,15 @@
 """The artifact CSV format: the numpy float formatter against CPython's
 ``"%.16e" % x`` over every binade, decimal exponent and exact tie,
-block-wise, distinct-value writing against a per-row reference, exact
-read-back of float columns, and the cell syntax and refusals of the table
-reader."""
+block-wise writing of float and integer columns against a per-row
+reference, the refusal of other columns, exact read-back of float columns,
+and the cell syntax and refusals of the table reader."""
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from vanhove import MollifierPolicy, PhaseField, PhaseGrid
 from vanhove import _csv
-from vanhove._csv import _BLOCK_ROWS, float_texts, read_csv, write_csv
+from vanhove._csv import _BLOCK_ROWS, read_csv, write_csv
 from vanhove.errors import ConfigError
 from vanhove.wigner import (
     ConstraintSet,
@@ -27,9 +27,9 @@ NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
                 dtype=np.uint64).view(np.float64).tolist()
 
 
-def per_row_reference(header, floats, ints, strs) -> str:
+def per_row_reference(header, floats, ints) -> str:
     lines = [",".join(header)]
-    lines += [f"{f:.16e},{i},{s}" for f, i, s in zip(floats, ints, strs)]
+    lines += [f"{f:.16e},{i}" for f, i in zip(floats, ints)]
     return "\n".join(lines) + "\n"
 
 
@@ -37,35 +37,30 @@ def per_row_reference(header, floats, ints, strs) -> str:
 @given(
     floats=st.lists(finite, max_size=32),
     ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=32),
-    strs=st.lists(st.text("0123456789.e+-;", max_size=40), min_size=1, max_size=32),
 )
-def test_write_csv_matches_per_row_format(tmp_path_factory, rows, floats, ints, strs):
+def test_write_csv_matches_per_row_format(tmp_path_factory, rows, floats, ints):
     # cycle the drawn values up to the row count; the special floats lead
     floats = np.resize(np.array(SPECIAL + floats), rows)
     ints = np.resize(np.array(ints, dtype=np.int64), rows)
-    strs = np.resize(np.array(strs), rows)
-    header = ["x", "label", "cell"]
+    header = ["x", "label"]
     path = tmp_path_factory.mktemp("csv") / "out.csv"
-    write_csv(path, header, [floats, ints, strs])
-    expected = per_row_reference(header, floats.tolist(), ints.tolist(), strs.tolist())
+    write_csv(path, header, [floats, ints])
+    expected = per_row_reference(header, floats.tolist(), ints.tolist())
     assert path.read_bytes() == expected.encode()
 
 
-@given(
-    floats=st.lists(finite, min_size=1, max_size=32),
-    strs=st.lists(st.text("0123456789.e+-;", max_size=40), min_size=1, max_size=8),
-)
-def test_object_str_column_matches_per_row_format(tmp_path_factory, floats, strs):
-    # few distinct strings over many rows, each cell a reference to one of them
-    rows = 3 * _BLOCK_ROWS // 2
-    floats = np.resize(np.array(floats), rows)
-    ints = np.arange(rows, dtype=np.int64)
-    shared = np.resize(np.array(strs, dtype=object), rows)
-    header = ["x", "label", "cell"]
-    path = tmp_path_factory.mktemp("csv") / "out.csv"
-    write_csv(path, header, [floats, ints, shared])
-    expected = per_row_reference(header, floats.tolist(), ints.tolist(), shared.tolist())
-    assert path.read_bytes() == expected.encode()
+@pytest.mark.parametrize("column", [
+    np.array(["1.5", "2"]),
+    np.array([1.5, "x"], dtype=object),
+    np.array([1.5, 2.0], dtype=object),
+    np.array([True, False]),
+], ids=["str", "object-str", "object-float", "bool"])
+def test_non_numeric_column_refused(tmp_path, column):
+    # the refusal names the column, before the file is opened
+    with pytest.raises(ValueError, match=f"column cell has dtype {column.dtype}; "
+                                         "only float and integer columns are written"):
+        write_csv(tmp_path / "out.csv", ["x", "cell"], [[1.0, 2.0], column])
+    assert not (tmp_path / "out.csv").exists()
 
 
 @given(values=st.lists(finite, min_size=1, max_size=64))
@@ -170,43 +165,50 @@ def test_phase_field_csv_matches_expanded_columns(tmp_path_factory, grid, fields
         assert path.read_bytes() == expected.encode()
 
 
-def assert_formats_as_cpython(values):
+def written_texts(path, values) -> list[str]:
+    """The cells of ``values`` as ``write_csv`` writes them in one column."""
+    write_csv(path, ["x"], [np.asarray(values, dtype=np.float64)])
+    return path.read_text().splitlines()[1:]
+
+
+def assert_formats_as_cpython(tmp_path, values):
     values = np.asarray(values, dtype=np.float64)
-    texts = float_texts(values)
+    texts = written_texts(tmp_path / "x.csv", values)
     expected = ["%.16e" % v for v in values.tolist()]
     wrong = [(v, t, e) for v, t, e in zip(values.tolist(), texts, expected) if t != e]
     assert not wrong, f"{len(wrong)} of {len(expected)} differ, first {wrong[:3]}"
 
 
-def test_formatter_every_binade_and_its_neighbours():
+def test_formatter_every_binade_and_its_neighbours(tmp_path):
     powers = np.ldexp(1.0, np.arange(-1074, 1024))
     values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
-    assert_formats_as_cpython(np.concatenate([values, -values]))
+    assert_formats_as_cpython(tmp_path, np.concatenate([values, -values]))
 
 
-def test_formatter_every_decimal_exponent():
+def test_formatter_every_decimal_exponent(tmp_path):
     # log10 is nearest to missing k at the powers of ten and one ulp either side
     powers = 10.0 ** np.arange(-323, 309)
     values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
-    assert_formats_as_cpython(np.concatenate([values, -values]))
+    assert_formats_as_cpython(tmp_path, np.concatenate([values, -values]))
 
 
-def test_formatter_random_bit_patterns():
+def test_formatter_random_bit_patterns(tmp_path):
     # NaN payloads, subnormals and both signs, as they come
     bits = np.random.default_rng(19).integers(0, 2**64, 10**5, dtype=np.uint64)
-    assert_formats_as_cpython(bits.view(np.float64))
+    assert_formats_as_cpython(tmp_path, bits.view(np.float64))
 
 
-def test_formatter_specials_subnormals_and_three_digit_exponents():
+def test_formatter_specials_subnormals_and_three_digit_exponents(tmp_path):
     nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
                      0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
     subnormals = np.array([5e-324, 1e-310, 2.2250738585072009e-308, 2.225073858507201e-308])
     values = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 1e-100, 9.999999999999999e99,
                               1e100, 1.7976931348623157e308, 123.0, 1.0, 0.1],
                              nans, subnormals, -subnormals])
-    assert_formats_as_cpython(values)
-    assert float_texts([-0.0, np.nan, -np.inf])[:3] == ["-0.0000000000000000e+00", "nan", "-inf"]
-    assert float_texts([]) == []
+    assert_formats_as_cpython(tmp_path, values)
+    texts = written_texts(tmp_path / "x.csv", [-0.0, np.nan, -np.inf])
+    assert texts == ["-0.0000000000000000e+00", "nan", "-inf"]
+    assert written_texts(tmp_path / "x.csv", []) == []
 
 
 def exact_ties():
@@ -223,35 +225,34 @@ def exact_ties():
     return ties
 
 
-def test_formatter_exact_ties_round_half_to_even(monkeypatch):
+def test_formatter_exact_ties_round_half_to_even(tmp_path, monkeypatch):
     ties = exact_ties()
     assert 2.0**-25 in ties and 3 * 2.0**-24 in ties
-    assert float_texts([2.0**-25]) == ["2.9802322387695312e-08"]
+    assert written_texts(tmp_path / "x.csv", [2.0**-25]) == ["2.9802322387695312e-08"]
     # ties that round up and ties that round down
     assert 0 < sum(ties.values()) < len(ties)
     values = np.array(list(ties))
-    assert_formats_as_cpython(np.concatenate([values, -values]))
+    assert_formats_as_cpython(tmp_path, np.concatenate([values, -values]))
     # without the exact branch half of them would round down, so the texts
     # above came from it
     monkeypatch.setattr(_csv, "_TIE_BAND", 0.0)
-    wrong = [v for v, t in zip(values.tolist(), float_texts(values)) if t != "%.16e" % v]
+    texts = written_texts(tmp_path / "x.csv", values)
+    wrong = [v for v, t in zip(values.tolist(), texts) if t != "%.16e" % v]
     assert sorted(wrong) == sorted(v for v, up in ties.items() if up)
 
 
 def test_write_csv_bulk_matches_per_row_format(tmp_path):
     # more than two blocks of random bit patterns (every text width, the
-    # 25-byte slot of a negative three-digit exponent included), integers and
-    # str cells that UTF-8 writes with bytes above 0x7F
+    # 24 bytes of a negative three-digit exponent included) and integers
     rng = np.random.default_rng(7)
     rows = 2 * _BLOCK_ROWS + 17
     floats = rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
     floats[:4] = [-1e-300, np.nan, -np.inf, -0.0]
     ints = rng.integers(-(2**63), 2**63 - 1, rows, dtype=np.int64)
-    strs = np.resize(np.array(["", "a;b", "\u00e9\u00ff", "\u2203x", "1.5e-3"], dtype=object), rows)
-    header = ["x", "n", "s"]
+    header = ["x", "n"]
     path = tmp_path / "out.csv"
-    write_csv(path, header, [floats, ints, strs])
-    expected = per_row_reference(header, floats.tolist(), ints.tolist(), strs.tolist())
+    write_csv(path, header, [floats, ints])
+    expected = per_row_reference(header, floats.tolist(), ints.tolist())
     assert path.read_bytes() == expected.encode()
 
 

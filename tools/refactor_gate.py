@@ -1,9 +1,10 @@
 """Refactor gate: artifact sha256s of the four benchmark workloads (seed 1),
 two validate configs (one with a rank-1 regular kernel), both oracle
-targets, an evolve run whose state has a dense (table) regular kernel, and
+targets, an evolve run whose state has a dense (table) regular kernel,
 two small cosmo runs whose potentials are a table and the quadratic cap
-(so each closed-form scale factor is byte-checked), each run through
-``vanhove.cli.main`` in a temporary directory.
+(so each closed-form scale factor is byte-checked) and one with two
+invariant fields, each run through ``vanhove.cli.main`` in a temporary
+directory.
 
 Usage: python3 tools/refactor_gate.py [--against EARLIER_OUTPUT.json]
 
@@ -64,6 +65,24 @@ RUNS = {
     "cosmo-quadratic-cap": {
         **WORKLOADS["cosmology"].make_config(1, True),
         "potential": {"family": "quadratic-cap", "lambda": 2.0, "a1": 1.0},
+    },
+    # two invariant fields, momentum and coordinate: a two-column ensemble,
+    # and with the a0 pin a second row field in the constraint sums
+    "cosmo-two-invariants": {
+        "kind": "cosmo", "potential": {"family": "constant", "lambda": 2.0, "a1": 1.0},
+        "a0": 0.2, "branch": 1, "eta_max": 1.0,
+        "modes": {"k_values": [0.5, 0.5000000000001], "m": 0.0, "a_out": 20.0},
+        "n_max": 1,
+        "state": {"type": "explicit", "re": [[0.05, 0, 0, 0], [0, 0.45, 0.18, 0],
+                                             [0, 0.18, 0.45, 0], [0, 0, 0, 0.05]]},
+        "trajectory": {
+            "phase_grid": {"q_range": [-2.5, 2.5], "p_range": [-2.5, 2.5],
+                           "nq": 121, "np": 121},
+            "epsilon": 0.12,
+            "invariants": [{"type": "momentum"}, {"type": "coordinate"}],
+            "a0_points": [0.0],
+            "l_values": [[[0.3, 0.0]], [[1.0, 0.0], [-1.0, 0.0]], [[0.6, 0.0]]],
+        },
     },
 }
 
