@@ -27,8 +27,6 @@ from .kernels import (
     SingularKernel,
     StateFunctional,
     ValidationReport,
-    hamiltonian_observable,
-    identity_observable,
     make_grid,
     pair,
     validate_state,
@@ -46,7 +44,6 @@ from .evolution import (
     decay_profile,
     decoherence_time,
     evolve,
-    expectation,
     fit_gaussian_envelope,
     recurrence_time,
     weak_limit,
@@ -59,11 +56,7 @@ from .wigner import (
     PhaseGrid,
     classical_expectation,
     classical_state_density,
-    liouville_residual,
-    mass_within,
-    multi_invariant_density,
     read_phase_field,
-    shell_density,
     wigner_singular,
     write_phase_field,
 )

@@ -265,14 +265,19 @@ RANDOM_GENERATOR = "philox4x64"
 def load_config(path) -> dict:
     """Parse and validate an experiment config; table paths become absolute.
 
-    Raises ConfigError with the offending line (parse errors) or field
-    path (schema violations).
+    Raises ConfigError with the offending line (parse errors), the
+    literal (NaN, Infinity or -Infinity, which Python's json would accept)
+    or field path (schema violations).
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+
+    def refuse(literal):
+        raise ConfigError(f"{path}: {literal} is not JSON; a config takes finite numbers only")
+
     try:
-        config = json.loads(path.read_text())
+        config = json.loads(path.read_text(), parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._csv import write_csv
-from .kernels import Observable, StateFunctional, _contract, _frozen, pair, zero_regular
+from .kernels import Observable, StateFunctional, _contract, _frozen, zero_regular
 
 IMAG_TOL = 1e-10
 # Envelope fits drop samples below this fraction of the largest one, and
@@ -52,21 +52,6 @@ def weak_limit(state: StateFunctional) -> StateFunctional:
     t -> infinity limit of the evolving mean value.
     """
     return StateFunctional(state.singular, zero_regular(state.grid))
-
-
-def expectation(state: StateFunctional, obs: Observable, t: float) -> float:
-    """Mean value of ``obs`` at time ``t``; equals pair(evolve(state, t), obs).
-
-    Returns the real part.  When the observable is flagged self-adjoint the
-    imaginary part must be below 1e-10, otherwise the inputs are treated as
-    non-physical and the check is skipped.
-    """
-    value = pair(evolve(state, t), obs)
-    if obs.self_adjoint and abs(value.imag) > IMAG_TOL:
-        raise ValueError(
-            f"expectation of a self-adjoint observable has |Im| = {abs(value.imag):.3e}"
-        )
-    return value.real
 
 
 @dataclass(frozen=True)

@@ -149,11 +149,15 @@ def _require_seed(seed: int | None) -> int:
 def run_experiment(config: dict, out_dir, seed: int | None = None) -> RunResult:
     """Execute one experiment config; returns the manifest and any failed
     declared checks.  The output directory is the only write target."""
+    seed = config.get("seed") if seed is None else seed
+    if seed is not None and seed < 0:
+        raise ConfigError(
+            f"seed {seed} is negative; pass --seed or set 'seed' in the config to an integer >= 0"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     run = _Run(out_dir=out_dir)
     kind = config["kind"]
-    seed = config.get("seed") if seed is None else seed
 
     runner = {
         "evolve": _run_evolve,

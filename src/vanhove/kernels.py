@@ -360,24 +360,6 @@ class StateFunctional:
         return self.singular.grid
 
 
-def identity_observable(grid: EnergyGrid) -> Observable:
-    """The identity: O(w) = 1, no regular part."""
-    return Observable(
-        SingularKernel(grid, np.ones(grid.size, dtype=complex)),
-        zero_regular(grid),
-        self_adjoint=True,
-    )
-
-
-def hamiltonian_observable(grid: EnergyGrid) -> Observable:
-    """The Hamiltonian in its own eigenbasis: O(w) = w, no regular part."""
-    return Observable(
-        SingularKernel(grid, grid.points.astype(complex)),
-        zero_regular(grid),
-        self_adjoint=True,
-    )
-
-
 def _even_step(times: np.ndarray) -> float:
     """The step of the evenly spaced ``times``, t_m = times[0] + m step.
 

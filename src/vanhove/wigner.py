@@ -7,11 +7,11 @@ represented by Gaussian mollifiers of explicit width epsilon (the finite
 stand-in for the hbar -> 0 peak width).
 
 One builder, ``ConstraintSet``, makes every mollified density: each is a
-weighted sum of its unit-mass constraint products.  Shells
-(``shell_density``), mixtures of shells (``classical_state_density``),
-constraint products (``multi_invariant_density``) and the trajectory
-ensemble (``cosmology.trajectory_ensemble``) differ only in the levels and
-weights they ask for.
+weighted sum of its unit-mass constraint products.  Mixtures of energy
+shells (``classical_state_density``) and the trajectory ensemble
+(``cosmology.trajectory_ensemble``) differ only in the fields, levels and
+weights they ask for; a single shell or constraint product is one level
+tuple of weight 1.
 
 Functions of H alone are not integrable over the full (q, p) plane, so
 all masses and expectations here use the energy-integration prescription:
@@ -276,7 +276,7 @@ class ConstraintSet:
     and columns by the last field's, so the values within REACH eps of a
     level are one slice of each.  This set-up (``np.unique`` per field and
     per further row field) is paid once per set, also for a single level
-    tuple as in ``shell_density``."""
+    tuple."""
 
     def __init__(self, fields, policy: MollifierPolicy):
         self.fields = list(fields)
@@ -441,20 +441,6 @@ def wigner_singular(obs_singular: SingularKernel, hfield: PhaseField) -> PhaseFi
     return PhaseField(hfield.grid, out)
 
 
-def shell_density(
-    omega0: float, hfield: PhaseField, policy: MollifierPolicy
-) -> ClassicalDensity:
-    """Mollified energy-shell density exp(-(H - w0)^2 / 2 eps^2), normalized
-    to unit mass under the H-binned prescription."""
-    h = hfield.values
-    if not (float(h.min()) <= omega0 <= float(h.max())):
-        raise DomainMismatchError(
-            f"shell energy {omega0} is unreachable on this window "
-            f"(H spans [{h.min():.6g}, {h.max():.6g}])"
-        )
-    return _supported(ConstraintSet([hfield], policy), [[omega0]], [1.0])
-
-
 def classical_state_density(
     rho_singular: SingularKernel, hfield: PhaseField, policy: MollifierPolicy
 ) -> ClassicalDensity:
@@ -481,37 +467,6 @@ def classical_expectation(rho_field: ClassicalDensity, obs_field: PhaseField) ->
     rho_means = bins.means(rho_field.field.values)
     obs_means = bins.means(obs_field.values)
     return float((rho_means * obs_means).sum() * bins.width)
-
-
-def multi_invariant_density(
-    l_values, L_fields: list[PhaseField], policy: MollifierPolicy
-) -> ClassicalDensity:
-    """Product of mollified constraints prod_i delta(L_i - l_i), renormalized.
-
-    The first field plays the role of the Hamiltonian for the integration
-    prescription; with a single H field this reduces to shell_density.
-
-    Raises
-    ------
-    DegenerateSupportError
-        If the constraints have numerically empty intersection (raw binned
-        mass below 1e-6), e.g. inconsistent level values.
-    """
-    levels = [np.atleast_1d(l_values)]
-    return _supported(ConstraintSet(L_fields, policy), levels, [1.0])
-
-
-def mass_within(
-    density: ClassicalDensity, field: PhaseField, center: float, halfwidth: float
-) -> float:
-    """H-binned mass restricted to cells with |field - center| <= halfwidth.
-
-    Restricted and complementary masses add up to h_mass() exactly (masked
-    cells contribute zero to the same bin averages)."""
-    masked = np.where(
-        np.abs(field.values - center) <= halfwidth, density.field.values, 0.0
-    )
-    return density.bins.mass(masked)
 
 
 def liouville_residual(density, hfield: PhaseField) -> float:

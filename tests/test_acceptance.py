@@ -11,7 +11,7 @@ import pytest
 import vanhove as vh
 from vanhove.harness import run_experiment
 from vanhove.oracles import conjugation_expectation_oracle, dense_pair_oracle
-from vanhove.wigner import harmonic_field, momentum_field
+from vanhove.wigner import harmonic_field, liouville_residual, momentum_field
 from ridge import free_flight_ridge
 
 GAUSS = {"type": "gaussian", "mu": 5.0, "sigma": 0.5}
@@ -66,8 +66,10 @@ def test_criterion_2_weak_limit_agreement(gaussian_setup):
 def test_criterion_3_conservation():
     rng = np.random.default_rng(2026)
     grid = vh.make_grid(10.0, 64)
-    ident = vh.identity_observable(grid)
-    ham = vh.hamiltonian_observable(grid)
+    ident = vh.observable_from_descriptors(grid, {"type": "uniform"})
+    ham = vh.Observable(
+        vh.SingularKernel(grid, grid.points), vh.zero_regular(grid), self_adjoint=True
+    )
     worst_norm = worst_energy = 0.0
     for _ in range(100):
         rho = rng.uniform(0.05, 1.0, 64)
@@ -165,7 +167,7 @@ def test_criterion_6_classical_constants_of_motion():
         pgrid = vh.PhaseGrid((-2.0, 2.0), (-2.0, 2.0), n, n)
         hfield = harmonic_field(pgrid)
         rho = vh.PhaseField(pgrid, np.exp(-((hfield.values - 1.0) ** 2) / 0.32))
-        residuals.append(vh.liouville_residual(rho, hfield))
+        residuals.append(liouville_residual(rho, hfield))
     ratios = [a / b for a, b in zip(residuals, residuals[1:])]
     ok = all(3.5 <= r <= 4.5 for r in ratios)
     report(
@@ -236,8 +238,10 @@ def test_criterion_9_trajectory_emergence():
         pointer, [pfield], policy, [a0], l_values=l_values
     )
 
-    mass_plus = vh.mass_within(density, pfield, 1.0, 3 * policy.epsilon)
-    mass_minus = vh.mass_within(density, pfield, -1.0, 3 * policy.epsilon)
+    # H-binned masses of the cells within 3 eps of each momentum
+    rho, p, eps = density.field.values, pfield.values, policy.epsilon
+    mass_plus = density.bins.mass(np.where(np.abs(p - 1.0) <= 3 * eps, rho, 0.0))
+    mass_minus = density.bins.mass(np.where(np.abs(p + 1.0) <= 3 * eps, rho, 0.0))
     ratio = mass_plus / mass_minus
     ratio_ok = abs(ratio - 7.0 / 3.0) / (7.0 / 3.0) < 0.05
 

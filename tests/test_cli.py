@@ -125,6 +125,20 @@ class TestLoadConfig:
         loaded = load_config(write_config(tmp_path, cfg))
         assert loaded["state"]["singular"]["path"] == str(table.resolve())
 
+    @pytest.mark.parametrize("literal, section, key", [
+        ("NaN", None, "threshold"), ("Infinity", "grid", "omega_max"), ("-Infinity", "times", "stop"),
+    ])
+    def test_non_json_number_literal_is_2(self, tmp_path, capsys, literal, section, key):
+        # Python's json writes and reads these three literals; JSON has none
+        cfg = gaussian_evolve_config()
+        (cfg[section] if section else cfg)[key] = float(literal)
+        path = write_config(tmp_path, cfg)
+        assert f": {literal}" in path.read_text()
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+        assert f"{literal} is not JSON" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hash_stable_under_key_order(self):
         a = {"kind": "evolve", "x": 1, "y": [1, 2]}
         b = {"y": [1, 2], "x": 1, "kind": "evolve"}
@@ -236,6 +250,20 @@ class TestExitCodes:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["oracle", "cosmo"])
+    def test_negative_seed_is_2(self, tmp_path, capsys, kind):
+        cfg = {"kind": "oracle", "target": "pair", "n": 8, "trials": 2, "seed": 3}
+        if kind == "cosmo":
+            cfg = {**TestCosmoKind().config(), "state": {"type": "random", "coherence": 0.5},
+                   "seed": 3}
+        out = tmp_path / "out"
+        rc = main([kind, "--config", str(write_config(tmp_path, cfg)), "--out", str(out),
+                   "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "seed -1 is negative" in err and "--seed" in err and "'seed'" in err
+        assert not out.exists()
 
     def test_oracle_size_limit(self, tmp_path, capsys):
         cfg = {"kind": "oracle", "target": "pair", "n": 5000, "trials": 1, "seed": 1}
@@ -833,7 +861,7 @@ def test_malformed_config_names_field(tmp_path, capsys, make_config, named):
     assert not out.exists()
 
 
-def test_readme_configs_load_and_evolve_example_runs(tmp_path):
+def test_readme_configs_load_and_evolve_example_runs(tmp_path, capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
     kinds = []
@@ -845,6 +873,14 @@ def test_readme_configs_load_and_evolve_example_runs(tmp_path):
             rc = main(["evolve", "--config", str(path), "--out", str(tmp_path / f"out_{i}")])
             assert rc == 0
     assert "evolve" in kinds
+
+    # the library example runs as printed, and its last two lines show the
+    # mean value (rho(t)|O) at the end of the window dephased to the weak limit
+    [example] = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    capsys.readouterr()
+    exec(compile(example, "README.md", "exec"), {})
+    *_, evolved, limit = capsys.readouterr().out.split()
+    assert complex(evolved) == pytest.approx(complex(limit), abs=1e-12)
 
 
 class TestReproducibility:

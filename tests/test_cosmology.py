@@ -19,8 +19,6 @@ from vanhove import (
     cosmo_weak_limit,
     diagonalize_remaining,
     enumerate_fock,
-    mass_within,
-    multi_invariant_density,
     quadratic_cap_potential,
     random_cosmo_state,
     solve_scale_factor,
@@ -30,7 +28,7 @@ from vanhove import (
     uniform_cosmo_state,
 )
 from vanhove.oracles import conjugation_expectation_oracle, scale_factor_oracle
-from vanhove.wigner import momentum_field
+from vanhove.wigner import ConstraintSet, momentum_field
 from ridge import free_flight_ridge
 
 
@@ -510,7 +508,8 @@ class TestTrajectoryEnsemble:
         )
         assert len(ensemble.entries) == 1
         assert ensemble.entries[0].probability == 1.0
-        near = mass_within(density, pfield, 2.0, 3 * policy.epsilon)
+        within = np.abs(pfield.values - 2.0) <= 3 * policy.epsilon
+        near = density.bins.mass(np.where(within, density.field.values, 0.0))
         assert near / density.h_mass() >= 0.99
 
     def test_component_mass_ratio(self):
@@ -523,8 +522,9 @@ class TestTrajectoryEnsemble:
         ensemble, density = trajectory_ensemble(
             pointer, [pfield], policy, [-0.3], l_values=values
         )
-        mass_plus = mass_within(density, pfield, 1.0, 3 * policy.epsilon)
-        mass_minus = mass_within(density, pfield, -1.0, 3 * policy.epsilon)
+        rho, p, eps = density.field.values, pfield.values, policy.epsilon
+        mass_plus = density.bins.mass(np.where(np.abs(p - 1.0) <= 3 * eps, rho, 0.0))
+        mass_minus = density.bins.mass(np.where(np.abs(p + 1.0) <= 3 * eps, rho, 0.0))
         assert mass_plus / mass_minus == pytest.approx(0.7 / 0.3, rel=0.05)
 
     def test_ridge_slopes(self):
@@ -579,10 +579,9 @@ class TestTrajectoryEnsemble:
         ensemble, _ = trajectory_ensemble(pointer, [pfield], policy, [0.0], values)
         assert [e.probability for e in ensemble.entries] == pytest.approx([1 / 3] * 3)
         qfield = coordinate_field(pgrid)
+        constraints = ConstraintSet([pfield, qfield], policy)
         for [l] in values:
-            component = multi_invariant_density(
-                [l[0], 0.0], [pfield, qfield], policy
-            )
+            component = constraints.density(constraints.summed([[l[0], 0.0]], [1.0])[0])
             ridge = free_flight_ridge(component, etas)
             slope, _ = np.polyfit(etas, ridge, 1)
             assert abs(slope - l[0]) < policy.epsilon

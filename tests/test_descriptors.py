@@ -6,7 +6,6 @@ from vanhove import (
     make_grid,
     observable_from_descriptors,
     pair,
-    identity_observable,
     regular_from_descriptor,
     singular_from_descriptor,
     state_from_descriptors,
@@ -44,7 +43,8 @@ def test_lorentzian_profile(grid):
 
 def test_point_state_normalized(grid):
     state = state_from_descriptors(grid, {"type": "point", "omega": 3.5})
-    assert pair(state, identity_observable(grid)) == pytest.approx(1.0)
+    identity = observable_from_descriptors(grid, {"type": "uniform"})
+    assert pair(state, identity) == pytest.approx(1.0)
     assert np.count_nonzero(state.singular.values) == 1
 
 
@@ -67,9 +67,10 @@ def test_normalize_flag(grid):
     raw = state_from_descriptors(
         grid, {"type": "gaussian", "mu": 5.0, "sigma": 1.0}, normalize=False
     )
-    assert pair(raw, identity_observable(grid)).real != pytest.approx(1.0)
+    identity = observable_from_descriptors(grid, {"type": "uniform"})
+    assert pair(raw, identity).real != pytest.approx(1.0)
     cooked = state_from_descriptors(grid, {"type": "gaussian", "mu": 5.0, "sigma": 1.0})
-    assert pair(cooked, identity_observable(grid)) == pytest.approx(1.0)
+    assert pair(cooked, identity) == pytest.approx(1.0)
 
 
 def test_unknown_type(grid):

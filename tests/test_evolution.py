@@ -10,10 +10,7 @@ from vanhove import (
     decay_profile,
     decoherence_time,
     evolve,
-    expectation,
     fit_gaussian_envelope,
-    hamiltonian_observable,
-    identity_observable,
     make_grid,
     observable_from_descriptors,
     pair,
@@ -89,8 +86,8 @@ class TestEvolve:
 
     def test_conservation_exact(self):
         grid, state, _ = gaussian_pair(128)
-        ident = identity_observable(grid)
-        ham = hamiltonian_observable(grid)
+        ident = observable_from_descriptors(grid, {"type": "uniform"})
+        ham = Observable(SingularKernel(grid, grid.points), zero_regular(grid), self_adjoint=True)
         for t in (0.3, 2.0, 17.5):
             moved = evolve(state, t)
             assert pair(moved, ident) == pair(state, ident)
@@ -100,14 +97,14 @@ class TestEvolve:
 class TestExpectation:
     def test_singular_observable_time_independent(self):
         grid, state, _ = gaussian_pair(128)
-        obs = hamiltonian_observable(grid)
-        base = expectation(state, obs, 0.0)
+        obs = Observable(SingularKernel(grid, grid.points), zero_regular(grid), self_adjoint=True)
+        base = pair(evolve(state, 0.0), obs).real
         for t in (1.0, 5.0, 20.0):
-            assert abs(expectation(state, obs, t) - base) < 1e-12
+            assert abs(pair(evolve(state, t), obs).real - base) < 1e-12
 
     def test_t_zero_equals_pair(self):
         grid, state, obs = gaussian_pair(128)
-        assert expectation(state, obs, 0.0) == pytest.approx(
+        assert pair(evolve(state, 0.0), obs).real == pytest.approx(
             pair(state, obs).real, abs=1e-14
         )
 
@@ -115,8 +112,9 @@ class TestExpectation:
         from vanhove import GridMismatchError
 
         _, state, _ = gaussian_pair(16)
+        identity = observable_from_descriptors(make_grid(10.0, 17), {"type": "uniform"})
         with pytest.raises(GridMismatchError):
-            expectation(state, identity_observable(make_grid(10.0, 17)), 0.0)
+            pair(evolve(state, 0.0), identity)
 
     def test_late_time_against_fine_quadrature_oracle(self):
         # oracle: the separable gaussian off-diagonal term factorizes into
@@ -135,7 +133,7 @@ class TestExpectation:
         got0 = abs(pair(state, obs) - pair(weak_limit(state), obs))
         assert got0 == pytest.approx(off0, rel=1e-8)
         diag = pair(weak_limit(state), obs).real
-        assert abs(expectation(state, obs, 20.0) - diag) < 1e-3 * off0
+        assert abs(pair(evolve(state, 20.0), obs).real - diag) < 1e-3 * off0
 
 
 class TestWeakLimit:
@@ -167,7 +165,7 @@ class TestWeakLimit:
         grid, state, obs = gaussian_pair(2048)
         limit_value = pair(weak_limit(state), obs).real
         for t in (25.0, 40.0, 80.0):
-            assert abs(expectation(state, obs, t) - limit_value) < 1e-6
+            assert abs(pair(evolve(state, t), obs).real - limit_value) < 1e-6
 
 
 class TestDecayProfile:
@@ -191,7 +189,7 @@ class TestDecayProfile:
         times = np.linspace(0.0, 6.0, 7)
         prof = decay_profile(state, obs, times)
         for t, ex in zip(times, prof.expectations):
-            assert ex == pytest.approx(expectation(state, obs, t), abs=1e-12)
+            assert ex == pytest.approx(pair(evolve(state, t), obs).real, abs=1e-12)
 
     def test_gaussian_slope_matches_closed_form(self):
         _, state, obs = gaussian_pair(512, sigma_obs=0.8)

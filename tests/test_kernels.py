@@ -8,9 +8,8 @@ from vanhove import (
     RegularKernel,
     SingularKernel,
     StateFunctional,
-    hamiltonian_observable,
-    identity_observable,
     make_grid,
+    observable_from_descriptors,
     pair,
     validate_state,
     zero_regular,
@@ -135,12 +134,16 @@ class TestMakeGrid:
 class TestPair:
     def test_uniform_state_identity(self):
         grid = make_grid(10.0, 51)
-        assert pair(uniform_state(grid), identity_observable(grid)) == pytest.approx(1.0)
+        identity = observable_from_descriptors(grid, {"type": "uniform"})
+        assert pair(uniform_state(grid), identity) == pytest.approx(1.0)
 
     def test_point_state_mean_energy(self):
         grid = make_grid(10.0, 21)
         k = 7
-        value = pair(point_state(grid, k), hamiltonian_observable(grid))
+        energy = Observable(
+            SingularKernel(grid, grid.points), zero_regular(grid), self_adjoint=True
+        )
+        value = pair(point_state(grid, k), energy)
         assert value == pytest.approx(grid.points[k], abs=1e-14)
 
     def test_gaussian_kernels_match_dense_oracle(self):
@@ -163,7 +166,10 @@ class TestPair:
 
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatchError):
-            pair(uniform_state(make_grid(10.0, 8)), identity_observable(make_grid(10.0, 9)))
+            pair(
+                uniform_state(make_grid(10.0, 8)),
+                observable_from_descriptors(make_grid(10.0, 9), {"type": "uniform"}),
+            )
 
     def test_bilinearity(self):
         rng = np.random.default_rng(11)
@@ -213,14 +219,14 @@ class TestPair:
         # routes agree bit for bit
         grid = make_grid(4.0, 5)
         state = uniform_state(grid)
-        obs = identity_observable(grid)
+        obs = observable_from_descriptors(grid, {"type": "uniform"})
         assert pair(state, obs) == dense_pair_oracle(state, obs) == 1.0
 
 
 class TestBuiltinObservables:
     def test_identity_two_point(self):
         grid = make_grid(1.0, 2)
-        obs = identity_observable(grid)
+        obs = observable_from_descriptors(grid, {"type": "uniform"})
         assert np.array_equal(obs.singular.values, [1.0 + 0j, 1.0 + 0j])
         assert not obs.regular.values.any()
         assert obs.self_adjoint
@@ -228,9 +234,10 @@ class TestBuiltinObservables:
     def test_identity_pairs_to_one_for_any_valid_state(self):
         rng = np.random.default_rng(2)
         grid = make_grid(4.0, 32)
+        identity = observable_from_descriptors(grid, {"type": "uniform"})
         for _ in range(5):
             state = random_state(rng, grid)
-            assert pair(state, identity_observable(grid)) == pytest.approx(1.0, abs=1e-12)
+            assert pair(state, identity) == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_flags_unnormalized_state(self):
         grid = make_grid(10.0, 16)
@@ -238,24 +245,32 @@ class TestBuiltinObservables:
         doubled = StateFunctional(
             SingularKernel(grid, 2.0 * state.singular.values), state.regular
         )
-        assert pair(doubled, identity_observable(grid)) == pytest.approx(2.0)
+        identity = observable_from_descriptors(grid, {"type": "uniform"})
+        assert pair(doubled, identity) == pytest.approx(2.0)
         assert not validate_state(doubled).ok
 
     def test_hamiltonian_two_point(self):
         grid = make_grid(1.0, 2)
-        assert np.array_equal(
-            hamiltonian_observable(grid).singular.values, [0.0 + 0j, 1.0 + 0j]
+        energy = Observable(
+            SingularKernel(grid, grid.points), zero_regular(grid), self_adjoint=True
         )
+        assert np.array_equal(energy.singular.values, [0.0 + 0j, 1.0 + 0j])
 
     def test_uniform_mean_energy(self):
         # oracle: closed form, mean of w over [0, 10] with flat density is 5
         grid = make_grid(10.0, 101)
-        value = pair(uniform_state(grid), hamiltonian_observable(grid))
+        energy = Observable(
+            SingularKernel(grid, grid.points), zero_regular(grid), self_adjoint=True
+        )
+        value = pair(uniform_state(grid), energy)
         assert value.real == pytest.approx(5.0, abs=1e-10)
 
     def test_point_state_eigenvalue(self):
         grid = make_grid(10.0, 41)
-        assert pair(point_state(grid, 13), hamiltonian_observable(grid)) == pytest.approx(
+        energy = Observable(
+            SingularKernel(grid, grid.points), zero_regular(grid), self_adjoint=True
+        )
+        assert pair(point_state(grid, 13), energy) == pytest.approx(
             grid.points[13]
         )
 

@@ -32,10 +32,7 @@ from vanhove import (
     enumerate_fock,
     evolve,
     fit_gaussian_envelope,
-    hamiltonian_observable,
-    identity_observable,
     make_grid,
-    multi_invariant_density,
     observable_from_descriptors,
     pair,
     pointer_state,
@@ -45,6 +42,7 @@ from vanhove import (
     state_from_descriptors,
     weak_limit,
     wigner_singular,
+    zero_regular,
 )
 from vanhove.kernels import grid_size_for_spacing
 from vanhove.oracles import dense_pair_oracle
@@ -142,7 +140,10 @@ def test_diag_value_is_the_weak_limit_pairing_bit_for_bit(problem):
 def test_norm_and_energy_conserved_under_evolve(problem, t):
     state, _ = problem
     evolved = evolve(state, t)
-    for obs in (identity_observable(state.grid), hamiltonian_observable(state.grid)):
+    grid = state.grid
+    identity = observable_from_descriptors(grid, {"type": "uniform"})
+    energy = Observable(SingularKernel(grid, grid.points), zero_regular(grid), self_adjoint=True)
+    for obs in (identity, energy):
         assert pair(evolved, obs) == pair(state, obs)
 
 
@@ -443,14 +444,15 @@ def in_reach(fields, eps, levels):
 @given(problem=staircase_fields(), weight=st.floats(0.1, 10.0))
 def test_distinct_value_mollifier_is_the_per_cell_product(problem, weight):
     fields, eps, levels = problem
-    values, masses = summed_cells(ConstraintSet(fields, MollifierPolicy(eps)), [levels], [weight])
+    constraints = ConstraintSet(fields, MollifierPolicy(eps))
+    values, masses = summed_cells(constraints, [levels], [weight])
     assert_summed_matches_reference(fields, eps, [levels], [weight], values, masses)
     if masses[0] < DEGENERATE_MASS_TOL:
         assert not values.any()
         with pytest.raises(DegenerateSupportError):
-            multi_invariant_density(levels, fields, MollifierPolicy(eps))
+            _supported(constraints, [levels], [1.0])
     else:
-        density = multi_invariant_density(levels, fields, MollifierPolicy(eps))
+        density = _supported(constraints, [levels], [1.0])
         assert_summed_matches_reference(fields, eps, [levels], [1.0], density.field.values, masses)
 
 

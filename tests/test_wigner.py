@@ -15,13 +15,9 @@ from vanhove import (
     SingularKernel,
     classical_expectation,
     classical_state_density,
-    liouville_residual,
     make_grid,
-    mass_within,
-    multi_invariant_density,
     pair,
     read_phase_field,
-    shell_density,
     state_from_descriptors,
     observable_from_descriptors,
     weak_limit,
@@ -34,9 +30,11 @@ from vanhove.wigner import (
     ConstraintSet,
     _HBins,
     _mollifier,
+    _supported,
     coordinate_field,
     harmonic_field,
     kinetic_field,
+    liouville_residual,
     momentum_field,
 )
 from ridge import free_flight_ridge
@@ -44,6 +42,14 @@ from ridge import free_flight_ridge
 
 def square_grid(extent=2.5, n=201):
     return PhaseGrid((-extent, extent), (-extent, extent), n, n)
+
+
+def constraint_density(levels, fields, policy):
+    """The unit-mass product of the fields' mollified constraints at one
+    level each: an energy shell for the H field alone."""
+    constraints = ConstraintSet(fields, policy)
+    totals, _ = constraints.summed([levels], [1.0])
+    return constraints.density(totals)
 
 
 class TestPhaseGrid:
@@ -121,7 +127,7 @@ class TestShellDensity:
         pgrid = square_grid(2.5, 201)
         hfield = kinetic_field(pgrid)
         policy = MollifierPolicy(0.08)
-        density = shell_density(2.0, hfield, policy)
+        density = constraint_density([2.0], [hfield], policy)
         p = pgrid.p
         column = density.field.values[100, :]  # q = 0 slice
         peaks = p[np.argsort(column)[-2:]]
@@ -134,14 +140,14 @@ class TestShellDensity:
     def test_unit_mass(self):
         pgrid = square_grid(2.5, 151)
         hfield = harmonic_field(pgrid)
-        density = shell_density(1.0, hfield, MollifierPolicy(0.1))
+        density = constraint_density([1.0], [hfield], MollifierPolicy(0.1))
         assert density.h_mass() == pytest.approx(1.0, abs=1e-9)
 
     def test_flat_mollifier_limit(self):
         pgrid = square_grid(2.0, 101)
         hfield = harmonic_field(pgrid)
         spread = float(hfield.values.max() - hfield.values.min())
-        density = shell_density(1.0, hfield, MollifierPolicy(10.0 * spread))
+        density = constraint_density([1.0], [hfield], MollifierPolicy(10.0 * spread))
         vals = density.field.values
         assert vals.max() / vals.min() < 1.02
 
@@ -149,22 +155,17 @@ class TestShellDensity:
         pgrid = square_grid(2.5, 201)
         hfield = harmonic_field(pgrid)
         policy = MollifierPolicy(0.1)
-        density = shell_density(1.0, hfield, policy)
-        inside = mass_within(density, hfield, 1.0, 3 * policy.epsilon)
+        density = constraint_density([1.0], [hfield], policy)
+        within = np.abs(hfield.values - 1.0) <= 3 * policy.epsilon
+        inside = density.bins.mass(np.where(within, density.field.values, 0.0))
         # oracle: gaussian tail bound, P(|X| <= 3 sigma) ~ 0.9973
         assert inside / density.h_mass() >= 0.99
-
-    def test_unreachable_energy(self):
-        pgrid = square_grid(1.0, 21)
-        hfield = harmonic_field(pgrid)
-        with pytest.raises(DomainMismatchError):
-            shell_density(50.0, hfield, MollifierPolicy(0.2))
 
     def test_unresolved_epsilon_rejected(self):
         pgrid = square_grid(2.0, 21)  # coarse cells
         hfield = harmonic_field(pgrid)
         with pytest.raises(ValueError, match="resolve"):
-            shell_density(1.0, hfield, MollifierPolicy(1e-4))
+            ConstraintSet([hfield], MollifierPolicy(1e-4))
 
 
 class TestClassicalStateDensity:
@@ -175,7 +176,7 @@ class TestClassicalStateDensity:
         policy = MollifierPolicy(0.1)
         state = state_from_descriptors(grid, {"type": "point", "omega": 1.0})
         got = classical_state_density(state.singular, hfield, policy)
-        ref = shell_density(grid.points[10], hfield, policy)
+        ref = constraint_density([grid.points[10]], [hfield], policy)
         # the ensemble scales each shell by (coeff / mass), the shell divides
         # by its mass: one rounding apart even though coeff == 1
         np.testing.assert_array_max_ulp(got.field.values, ref.field.values, maxulp=1)
@@ -303,9 +304,11 @@ class TestMultiInvariantDensity:
         pgrid = square_grid(2.5, 151)
         hfield = harmonic_field(pgrid)
         policy = MollifierPolicy(0.1)
-        got = multi_invariant_density([1.0], [hfield], policy)
-        ref = shell_density(1.0, hfield, policy)
-        assert np.array_equal(got.field.values, ref.field.values)
+        got = constraint_density([1.0], [hfield], policy).field.values
+        # oracle: exp(-(H - 1)^2 / 2 eps^2) at each cell, over its H-binned mass
+        shell = np.exp(-((hfield.values - 1.0) ** 2) / (2 * policy.epsilon**2))
+        ref = shell / _HBins(hfield, policy.epsilon).mass(shell)
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=2**-52 * ref.max())
 
     def test_circle_line_intersection(self):
         from scipy import ndimage
@@ -313,7 +316,7 @@ class TestMultiInvariantDensity:
         pgrid = square_grid(1.6, 201)
         fields = [harmonic_field(pgrid), momentum_field(pgrid)]
         policy = MollifierPolicy(0.05)
-        density = multi_invariant_density([1.0, 0.6], fields, policy)
+        density = constraint_density([1.0, 0.6], fields, policy)
         blobs, count = ndimage.label(density.field.values > 0.5 * density.field.values.max())
         assert count <= 2
         # oracle: circle q^2+p^2 = 2 meets p = 0.6 at q = +/- sqrt(2 - 0.36)
@@ -328,22 +331,23 @@ class TestMultiInvariantDensity:
     def test_empty_intersection_degenerate(self):
         pgrid = square_grid(1.4, 101)
         fields = [harmonic_field(pgrid), momentum_field(pgrid)]
+        constraints = ConstraintSet(fields, MollifierPolicy(0.05))
         with pytest.raises(DegenerateSupportError) as err:
-            multi_invariant_density([1.0, 10.0], fields, MollifierPolicy(0.05))
+            _supported(constraints, [[1.0, 10.0]], [1.0])
         assert err.value.raw_mass < 1e-6
 
     def test_length_mismatch(self):
-        # epsilon resolves the grid, so the level count is what is refused
+        # epsilon resolves the grid, so the weight and level counts are what is refused
         hfield, policy = harmonic_field(square_grid(1.4, 41)), MollifierPolicy(0.3)
+        constraints = ConstraintSet([hfield], policy)
+        with pytest.raises(ValueError, match="one weight per component"):
+            constraints.summed([[1.0]], [1.0, 2.0])
         with pytest.raises(ValueError, match="one level per field"):
-            multi_invariant_density([1.0, 2.0], [hfield], policy)
-        with pytest.raises(ValueError, match="one level per field"):
-            ConstraintSet([hfield], policy).summed([[1.0, 2.0]], [1.0])
+            constraints.summed([[1.0, 2.0]], [1.0])
 
     def test_mixed_grids_rejected(self):
         with pytest.raises(GridMismatchError):
-            multi_invariant_density(
-                [1.0, 1.0],
+            ConstraintSet(
                 [harmonic_field(square_grid(1.5, 41)), momentum_field(square_grid(1.5, 43))],
                 MollifierPolicy(0.1),
             )
@@ -393,8 +397,10 @@ class TestMollifierPolicy:
         for n in (101, 201, 401):
             pgrid = square_grid(2.5, n)
             hfield = harmonic_field(pgrid)
-            density = shell_density(1.0, hfield, MollifierPolicy(eps))
-            frac = mass_within(density, hfield, 1.0, 3 * eps) / density.h_mass()
+            density = constraint_density([1.0], [hfield], MollifierPolicy(eps))
+            within = np.abs(hfield.values - 1.0) <= 3 * eps
+            inside = density.bins.mass(np.where(within, density.field.values, 0.0))
+            frac = inside / density.h_mass()
             assert frac >= 0.99
             eps /= 2.0
             if eps < 0.05:
@@ -420,8 +426,9 @@ class TestMassWithin:
     def test_partition(self):
         pgrid = square_grid(2.5, 151)
         hfield = harmonic_field(pgrid)
-        density = shell_density(1.0, hfield, MollifierPolicy(0.1))
-        inside = mass_within(density, hfield, 1.0, 0.2)
+        density = constraint_density([1.0], [hfield], MollifierPolicy(0.1))
+        within = np.abs(hfield.values - 1.0) <= 0.2
+        inside = density.bins.mass(np.where(within, density.field.values, 0.0))
         outside_vals = np.where(
             np.abs(hfield.values - 1.0) > 0.2, density.field.values, 0.0
         )
