@@ -69,7 +69,8 @@ DESCRIPTOR = _tagged(
 )
 
 # the keys of these blocks are the keyword arguments of make_grid,
-# state_from_descriptors, observable_from_descriptors and PhaseGrid
+# state_from_descriptors, observable_from_descriptors, decay_profile and
+# PhaseGrid
 GRID = _strict(
     {
         "omega_max": _POS,
@@ -84,9 +85,7 @@ STATE = _strict(
     "singular",
 )
 
-OBSERVABLE = _strict(
-    {"singular": DESCRIPTOR, "regular": DESCRIPTOR, "self_adjoint": {"type": "boolean"}}
-)
+OBSERVABLE = _strict({"singular": DESCRIPTOR, "regular": DESCRIPTOR})
 
 TIMES = _strict(
     {"start": _NUM, "stop": _NUM, "count": {"type": "integer", "minimum": 1}},

@@ -118,8 +118,8 @@ def observable_from_descriptors(
     grid: EnergyGrid,
     singular: dict | None = None,
     regular: dict | None = None,
-    self_adjoint: bool = True,
 ) -> Observable:
+    """Build a self-adjoint observable; an omitted part is zero."""
     sing = (
         singular_from_descriptor(grid, singular)
         if singular is not None
@@ -130,7 +130,7 @@ def observable_from_descriptors(
         if regular is not None
         else zero_regular(grid)
     )
-    return Observable(sing, reg, self_adjoint=self_adjoint)
+    return Observable(sing, reg, self_adjoint=True)
 
 
 def _table(grid: EnergyGrid, path: Path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:

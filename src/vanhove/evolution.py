@@ -8,12 +8,12 @@ valid below the recurrence time 2*pi / min spacing; callers should window
 their assertions accordingly.
 
 Evolution only adds t to the regular kernel's elapsed time; its factors
-are kept.  A decay profile over T evenly spaced time samples on an n-point
-grid is the contraction behind ``kernels.pair`` at T times, pair being its
-T = 1 case.  Its phases are products of about sqrt(T) fine and sqrt(T)
-coarse rows of n exponentials, and its sums are GEMMs: O(n T rank_rho
-rank_O) multiply-adds for descriptor-built (low-rank) kernels and O(n^2 T)
-when either kernel is a dense table.
+are kept.  A decay profile over the T time samples np.linspace(start,
+stop, T) on an n-point grid is the contraction behind ``kernels.pair`` at
+T times, pair being its T = 1 case.  Its phases are products of about
+sqrt(T) fine and sqrt(T) coarse rows of n exponentials, and its sums are
+GEMMs: O(n T rank_rho rank_O) multiply-adds for descriptor-built
+(low-rank) kernels and O(n^2 T) when either kernel is a dense table.
 """
 from __future__ import annotations
 
@@ -86,32 +86,32 @@ class DecayProfile:
 
 
 def decay_profile(
-    state: StateFunctional, obs: Observable, times
+    state: StateFunctional, obs: Observable, start: float, stop: float, count: int
 ) -> DecayProfile:
-    """Off-diagonal decay of <O>(t) over the given time samples.
+    """Off-diagonal decay of <O>(t) over the ``count`` time samples
+    ``times = np.linspace(start, stop, count)``.
 
-    The times must be evenly spaced, as from np.linspace or np.arange:
-    each must lie within a few ulps of max|t| of times[0] + m * step, or a
-    ValueError naming np.linspace is raised before any work is done.
-    Evaluates pair(evolve(state, t), obs) for every t, on any grid, by the
-    one contraction behind ``pair`` (``kernels._contract``) taken over all
-    the times at once, its phases split into fine and coarse rows; bit for
-    bit at a single time when neither kernel has evolved.  The profile's
-    ``noise_floor`` bounds each sample's rounding error, phase angles
-    included.
+    ``start`` and ``stop`` must be finite with start <= stop, and count
+    >= 1 (a single sample is ``start``); otherwise a ValueError is raised
+    before any work is done.  Evaluates pair(evolve(state, t), obs) for
+    every t, on any grid, by the one contraction behind ``pair``
+    (``kernels._contract``) taken over all the times at once, its phases
+    split into fine and coarse rows; bit for bit at a single time when
+    neither kernel has evolved.  The profile's ``noise_floor`` bounds each
+    sample's rounding error, phase angles included.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ValueError("need at least one time sample")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("time samples must be finite")
-    diag, offdiag, noise_floor = _contract(state, obs, times)
+    start, stop = float(start), float(stop)
+    if count < 1:
+        raise ValueError(f"need at least one time sample, got count = {count}")
+    if not (np.isfinite(start) and np.isfinite(stop) and start <= stop):
+        raise ValueError(f"times need finite start <= stop, got start = {start}, stop = {stop}")
+    diag, offdiag, noise_floor = _contract(state, obs, start, stop, count)
     if obs.self_adjoint and abs(diag.imag) > IMAG_TOL:
         raise ValueError(
             f"diagonal term of a self-adjoint observable has |Im| = {abs(diag.imag):.3e}"
         )
     return DecayProfile(
-        times=times,
+        times=np.linspace(start, stop, count),
         offdiag_abs=np.abs(offdiag),
         diag_value=diag.real,
         expectations=diag.real + offdiag.real,

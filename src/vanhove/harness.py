@@ -186,14 +186,24 @@ def run_experiment(config: dict, out_dir, seed: int | None = None) -> RunResult:
 # kind runners
 
 
+def _last_time(span) -> float:
+    """The last of the samples np.linspace(**span): start when it is the
+    only one."""
+    return float(span["stop"] if span["count"] > 1 else span["start"])
+
+
 def _build_dephasing(config):
-    """Grid, times, state and observable of an evolve or weak-limit run;
-    times outside the recurrence window are refused before the kernels
-    are built."""
-    grid = make_grid(**config["grid"])
+    """Grid, state and observable of an evolve or weak-limit run; reversed
+    times and times outside the recurrence window are refused before the
+    kernels are built."""
     span = config["times"]
-    times = np.linspace(span["start"], span["stop"], span["count"])
-    t_max = float(np.max(np.abs(times)))
+    if span["stop"] < span["start"]:
+        raise ConfigError(
+            f"field 'times/stop' = {span['stop']:g} is before 'times/start' = "
+            f"{span['start']:g}; give the times in increasing order"
+        )
+    grid = make_grid(**config["grid"])
+    t_max = max(abs(float(span["start"])), abs(_last_time(span)))
     limit = RECURRENCE_WINDOW * recurrence_time(grid)
     if t_max > limit:
         # the grid block less n: make_grid's other arguments, which
@@ -209,14 +219,14 @@ def _build_dephasing(config):
         )
     state = state_from_descriptors(grid, **config["state"])
     obs = observable_from_descriptors(grid, **config["observable"])
-    return grid, state, obs, times
+    return grid, state, obs
 
 
 def _run_evolve(config, run: _Run, seed) -> None:
     with run.stage("build"):
-        grid, state, obs, times = _build_dephasing(config)
+        grid, state, obs = _build_dephasing(config)
     with run.stage("decay-profile"):
-        profile = decay_profile(state, obs, times)
+        profile = decay_profile(state, obs, **config["times"])
         run.record("decay.csv", profile.to_csv)
     with run.stage("summary"):
         summary = {
@@ -254,11 +264,12 @@ def _run_evolve(config, run: _Run, seed) -> None:
 
 def _run_weak_limit(config, run: _Run, seed) -> None:
     with run.stage("build"):
-        grid, state, obs, times = _build_dephasing(config)
-        t_min = config.get("t_min", float(times[0]))
-        if t_min > times.max():
+        grid, state, obs = _build_dephasing(config)
+        t_min = config.get("t_min", float(config["times"]["start"]))
+        t_last = _last_time(config["times"])
+        if t_min > t_last:
             raise ConfigError(
-                f"t_min = {t_min:g} is past the last time sample t = {times.max():g}, "
+                f"t_min = {t_min:g} is past the last time sample t = {t_last:g}, "
                 f"so the agreement check would cover no sample"
             )
     with run.stage("weak-limit"):
@@ -266,10 +277,10 @@ def _run_weak_limit(config, run: _Run, seed) -> None:
         columns = [grid.points, limit.singular.values.real]
         _write_csv(run, "limit_state.csv", ["omega", "rho"], columns)
     with run.stage("agreement"):
-        profile = decay_profile(state, obs, times)
+        profile = decay_profile(state, obs, **config["times"])
         run.record("agreement.csv", profile.to_csv)
         tolerance = config.get("tolerance", 1e-6)
-        worst = float(profile.offdiag_abs[times >= t_min].max())
+        worst = float(profile.offdiag_abs[profile.times >= t_min].max())
         summary = {
             "limit_value": float(profile.diag_value),
             "t_min": float(t_min),

@@ -34,9 +34,6 @@ CUTOFF_MASS_TOL = 1e-10
 # Entries per row or phase block of work over the grid (16 MB complex), so
 # that workspace stays O(n) in n: 256 rows while n <= 4096.
 BLOCK_ELEMENTS = 256 * 4096
-# Time samples may stray this many ulps of max|t| from an arithmetic
-# progression; np.linspace and np.arange samples stay within 4.
-TIME_STRAY_ULPS = 8
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -360,35 +357,12 @@ class StateFunctional:
         return self.singular.grid
 
 
-def _even_step(times: np.ndarray) -> float:
-    """The step of the evenly spaced ``times``, t_m = times[0] + m step.
-
-    A sample more than TIME_STRAY_ULPS ulps of max|t| off that progression
-    (at most 8 eps max|t|) is refused with ValueError: np.linspace and
-    np.arange samples stray by at most 2 eps max|t|.  A subnormal step
-    rounds to 2^-1074 absolute, not relative, so T such ulps are allowed
-    on top.
-    """
-    if times.size == 1:
-        return 0.0
-    step = (times[-1] - times[0]) / (times.size - 1)
-    stray = np.abs(times - (times[0] + np.arange(times.size) * step))
-    worst = int(np.argmax(stray))
-    tol = TIME_STRAY_ULPS * np.spacing(np.abs(times).max()) + times.size * np.spacing(0.0)
-    if stray[worst] > tol:
-        raise ValueError(
-            f"time samples must be evenly spaced: t[{worst}] = {times[worst]!r} lies "
-            f"{stray[worst]:.3e} off t[0] + {worst} * {step!r}; build them with "
-            f"np.linspace(start, stop, count)"
-        )
-    return step
-
-
 def _contract(
-    state: StateFunctional, obs: Observable, times: np.ndarray
+    state: StateFunctional, obs: Observable, start: float, stop: float, count: int
 ) -> tuple[complex, np.ndarray, float]:
-    """(diag, offdiag, noise_floor) of (rho(t)|O) at the finite, evenly
-    spaced ``times`` t_m = t_0 + m step (uneven ones are refused first).
+    """(diag, offdiag, noise_floor) of (rho(t)|O) at the ``count`` samples
+    np.linspace(start, stop, count), t_m = t_0 + m step with t_0 = start and
+    step = (stop - start) / (count - 1), 0 for a single sample (start).
 
     diag = sum_i w_i rho_i O_i does not depend on t.  The contraction
     C_ij = w_i w_j rho_ij O_ji (phases left out) is factored as C = P Q^T:
@@ -420,9 +394,12 @@ def _contract(
 
     - angle: the computed angles of F_b and G_c take seven roundings (tau,
       t_0 + tau, c B step, b step, their sum, the two products by w_i) of
-      values whose magnitudes sum to at most 7 M, and an accepted t_m
-      strays from t_0 + m step by at most 19 u max|t| (the check's
-      16 u max|t| and its three roundings): 26 u w_max M;
+      values whose magnitudes sum to at most 7 M, and the linspace sample
+      t_m strays from t_0 + m step by at most 4 u max|t| (3 u from
+      rounding m step and the sum; the last sample is stop itself, 4 u
+      from rounding stop - start and the quotient), for which 19 u max|t|
+      is allowed: 26 u w_max M (a subnormal step adds at most T 2^-1074
+      to the stray, far inside the constant 8 u of the exp term below);
     - exp: F and G are each within 2 u of exact (sin and cos to 1 ulp), so
       each phase v_i is within (4 + 26 w_max M) u of exact, and each term
       holds two phases: (8 + 52 w_max M) u;
@@ -436,7 +413,9 @@ def _contract(
     """
     if state.grid != obs.grid:
         raise GridMismatchError("state and observable live on different grids")
-    step = _even_step(times)
+    if count == 1:
+        stop = start  # the one sample
+    step = (stop - start) / max(count - 1, 1)
     grid, rho, o = state.grid, state.regular, obs.regular
     n, w = grid.size, grid.weights
     diag = complex(np.sum(w * state.singular.values * obs.singular.values))
@@ -457,7 +436,7 @@ def _contract(
         out = np.multiply.outer(shifts, -1j * grid.points)
         return np.exp(out, out=out)
 
-    count, k = times.size, p.shape[1]
+    k = p.shape[1]
     tau = rho.elapsed - o.elapsed
     # B^2 = T (1 + k / 8) minimises the (B + C) n exponentials plus the
     # 2 C n k products that scale P and Q by G, an exponential costing
@@ -471,7 +450,7 @@ def _contract(
     offdiag = np.zeros((coarse, fine), dtype=complex)
     for c0 in range(0, coarse, rows):
         cs = slice(c0, min(c0 + rows, coarse))
-        g = phases((times[0] + tau) + np.arange(cs.start, cs.stop) * fine * step)
+        g = phases((start + tau) + np.arange(cs.start, cs.stop) * fine * step)
         for k0 in range(0, k, cols):
             ks = slice(k0, k0 + cols)
             left = f @ (g.T[:, :, None] * p[:, None, ks]).reshape(n, -1)
@@ -481,7 +460,7 @@ def _contract(
                 right = np.conjugate(f @ (g.T[:, :, None] * q[:, None, ks].conj()).reshape(n, -1))
             shape = (fine, len(g), -1)
             offdiag[cs] += np.einsum("bck,bck->cb", left.reshape(shape), right.reshape(shape))
-    reach = max(abs(times[0]), abs(times[-1])) + abs(tau)
+    reach = max(abs(start), abs(stop)) + abs(tau)
     floor = (4 * n + 8 + 26 * grid.omega_max * reach) * np.finfo(float).eps * float(l1)
     return diag, offdiag.ravel()[:count], floor
 
@@ -494,7 +473,7 @@ def pair(state: StateFunctional, obs: Observable) -> complex:
     double-quadrature trace of the regular kernels: the one contraction
     behind ``decay_profile``, at the single time 0.
     """
-    diag, offdiag, _ = _contract(state, obs, np.zeros(1))
+    diag, offdiag, _ = _contract(state, obs, 0.0, 0.0, 1)
     return complex(diag + offdiag[0])
 
 

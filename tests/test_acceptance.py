@@ -34,7 +34,7 @@ def gaussian_setup():
 def test_criterion_1_riemann_lebesgue_decay(gaussian_setup):
     grid, state, obs = gaussian_setup
     t0 = time.perf_counter()
-    profile = vh.decay_profile(state, obs, np.arange(0.0, 30.25, 0.25))
+    profile = vh.decay_profile(state, obs, 0.0, 30.0, 121)
     rate, _ = vh.fit_gaussian_envelope(profile)
     elapsed = time.perf_counter() - t0
 
@@ -52,8 +52,7 @@ def test_criterion_1_riemann_lebesgue_decay(gaussian_setup):
 def test_criterion_2_weak_limit_agreement(gaussian_setup):
     grid, state, obs = gaussian_setup
     t_rec = vh.recurrence_time(grid)
-    window = np.linspace(25.0, 0.8 * t_rec, 40)
-    profile = vh.decay_profile(state, obs, window)
+    profile = vh.decay_profile(state, obs, 25.0, 0.8 * t_rec, 40)
     worst = float(profile.offdiag_abs.max())
     report(
         2,

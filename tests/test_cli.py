@@ -29,6 +29,7 @@ from vanhove._csv import read_csv
 from vanhove.cli import main
 from vanhove.config import ConfigError, config_hash, load_config
 from vanhove.cosmology import DEFAULT_EPS_SHELL
+from vanhove import harness
 from vanhove.harness import _Run, run_experiment
 from vanhove.wigner import coordinate_field, momentum_field
 
@@ -358,6 +359,51 @@ class TestWeakLimitKind:
         assert rc == 2
         assert "t_min = 61 is past the last time sample t = 60" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["evolve", "weak-limit"])
+    def test_reversed_times_are_2(self, tmp_path, capsys, kind):
+        # 0 -> 20 fails the weak-limit check (max_deviation 0.785); the same
+        # samples listed 20 -> 0 took t_min = 20 and passed
+        cfg = gaussian_evolve_config()
+        cfg["kind"] = kind
+        cfg["times"] = {"start": 20.0, "stop": 0.0, "count": 81}
+        out = tmp_path / "out"
+        rc = main([kind, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'times/stop' = 0 is before 'times/start' = 20" in err
+        assert list(out.iterdir()) == []
+
+
+class TestDephasingReadBack:
+    @pytest.mark.parametrize("kind, name", [("evolve", "decay.csv"), ("weak-limit", "agreement.csv")])
+    def test_profile_reads_back_bit_for_bit(self, tmp_path, monkeypatch, kind, name):
+        # the profile the run computes, caught on its way to the artifact
+        profiles, decay_profile = [], harness.decay_profile
+
+        def spy(*args, **kwargs):
+            profiles.append(decay_profile(*args, **kwargs))
+            return profiles[-1]
+
+        monkeypatch.setattr(harness, "decay_profile", spy)
+        cfg = gaussian_evolve_config(n=512, threshold=0.01)
+        cfg["kind"] = kind
+        cfg["times"] = {"start": -3.0, "stop": 20.0, "count": 47}
+        if kind == "weak-limit":
+            del cfg["threshold"]
+            cfg["t_min"] = 15.0
+        out = tmp_path / "out"
+        assert run_experiment(cfg, out).ok
+        (profile,) = profiles
+        table = read_csv(out / name, ["t", "offdiag_abs", "expectation"])
+        columns = [profile.times, profile.offdiag_abs, profile.expectations]
+        assert table.tobytes() == np.column_stack(columns).tobytes()
+        summary = json.loads((out / "summary.json").read_text())
+        if kind == "evolve":
+            assert summary["diag_value"] == profile.diag_value
+            assert summary["noise_floor"] == profile.noise_floor
+        else:
+            assert summary["limit_value"] == profile.diag_value
 
 
 class TestRecurrenceRefusal:
@@ -839,6 +885,13 @@ _ORACLE_MODES = {"k_values": [1.0], "m": 0.0, "a_out": 5.0}
                      "modes": _ORACLE_MODES},
             "field 'n': 8 should not be valid",
             id="cosmo-oracle-with-n",
+        ),
+        pytest.param(
+            lambda: gaussian_evolve_config(
+                observable={"singular": {"type": "uniform"}, "self_adjoint": False}),
+            "field 'observable': Additional properties are not allowed "
+            "('self_adjoint' was unexpected)",
+            id="observable-self-adjoint",
         ),
         pytest.param(
             lambda: _explicit_state(re=[[True, False], [False, True]]),

@@ -175,38 +175,42 @@ class TestDecayProfile:
         obs = observable_from_descriptors(
             grid, {"type": "uniform"}, {"type": "gaussian", "mu": 5, "sigma": 1}
         )
-        prof = decay_profile(state, obs, np.linspace(0, 5, 11))
+        prof = decay_profile(state, obs, 0.0, 5.0, 11)
         assert np.all(prof.offdiag_abs == 0.0)
 
     def test_t_zero_definition(self):
         _, state, obs = gaussian_pair(128)
-        prof = decay_profile(state, obs, [0.0, 1.0])
+        prof = decay_profile(state, obs, 0.0, 1.0, 2)
         expect = abs(pair(state, obs) - pair(weak_limit(state), obs))
         assert prof.offdiag_abs[0] == pytest.approx(expect, rel=1e-12)
 
     def test_matches_expectation_pointwise(self):
         _, state, obs = gaussian_pair(128)
-        times = np.linspace(0.0, 6.0, 7)
-        prof = decay_profile(state, obs, times)
-        for t, ex in zip(times, prof.expectations):
+        prof = decay_profile(state, obs, 0.0, 6.0, 7)
+        for t, ex in zip(prof.times, prof.expectations):
             assert ex == pytest.approx(pair(evolve(state, t), obs).real, abs=1e-12)
 
     def test_gaussian_slope_matches_closed_form(self):
         _, state, obs = gaussian_pair(512, sigma_obs=0.8)
-        times = np.linspace(0.0, 10.0, 81)
-        prof = decay_profile(state, obs, times)
+        prof = decay_profile(state, obs, 0.0, 10.0, 81)
         rate, _ = fit_gaussian_envelope(prof)
         expect = gaussian_rate(SIGMA, 0.8)
         assert abs(rate - expect) / expect < 0.05
 
     def test_empty_times(self):
         _, state, obs = gaussian_pair(8)
-        with pytest.raises(ValueError):
-            decay_profile(state, obs, [])
+        with pytest.raises(ValueError, match="at least one"):
+            decay_profile(state, obs, 0.0, 1.0, 0)
+
+    @pytest.mark.parametrize("start, stop", [(20.0, 0.0), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0)])
+    def test_reversed_or_non_finite_times_refused(self, start, stop):
+        _, state, obs = gaussian_pair(8)
+        with pytest.raises(ValueError, match="finite start <= stop"):
+            decay_profile(state, obs, start, stop, 3)
 
     def test_csv_export(self, tmp_path):
         _, state, obs = gaussian_pair(32)
-        prof = decay_profile(state, obs, [0.0, 1.0])
+        prof = decay_profile(state, obs, 0.0, 1.0, 2)
         path = tmp_path / "decay.csv"
         prof.to_csv(path)
         lines = path.read_bytes().split(b"\n")
@@ -220,7 +224,7 @@ class TestDecoherenceTime:
         grid = make_grid(10.0, 16)
         state = state_from_descriptors(grid, {"type": "uniform"})
         obs = observable_from_descriptors(grid, {"type": "uniform"})
-        prof = decay_profile(state, obs, [0.0, 1.0, 2.0])
+        prof = decay_profile(state, obs, 0.0, 2.0, 3)
         assert decoherence_time(prof, 0.5) is None
 
     def test_synthetic_monotone(self):
@@ -262,8 +266,8 @@ class TestDecoherenceTime:
         grid = make_grid(10.0, 512)
         state = state_from_descriptors(grid, {"type": "uniform"}, {"type": "uniform"})
         obs = observable_from_descriptors(grid, {"type": "uniform"}, {"type": "uniform"})
-        times = np.arange(0.0, 3.0, 0.01)
-        prof = decay_profile(state, obs, times)
+        prof = decay_profile(state, obs, 0.0, 2.99, 300)
+        times = prof.times
         threshold = 0.04  # below the first side lobe of sinc^2 (~0.047)
         target = threshold * prof.offdiag_abs[0]
         first_touch = times[np.argmax(prof.offdiag_abs <= target)]
@@ -273,8 +277,7 @@ class TestDecoherenceTime:
 
     def test_gaussian_inverse_envelope(self):
         _, state, obs = gaussian_pair(512)
-        times = np.arange(0.0, 10.0, 0.1)
-        prof = decay_profile(state, obs, times)
+        prof = decay_profile(state, obs, 0.0, 9.9, 100)
         t_d = decoherence_time(prof, 1e-2)
         rate, _ = fit_gaussian_envelope(prof)
         expect = np.sqrt(np.log(100.0) / rate)
@@ -297,10 +300,9 @@ class TestRiemannLebesgueWindow:
         # restricted to t < 0.8 * t_rec
         grid, state, obs = gaussian_pair(512)  # spacing ~0.02, 25 pts/sigma
         t_rec = recurrence_time(grid)
-        times = np.linspace(0.0, 0.8 * t_rec, 200)
-        prof = decay_profile(state, obs, times)
+        prof = decay_profile(state, obs, 0.0, 0.8 * t_rec, 200)
         rate, intercept = fit_gaussian_envelope(prof)
-        envelope = np.exp(intercept - rate * times**2)
+        envelope = np.exp(intercept - rate * prof.times**2)
         floor = 1e-12 * prof.offdiag_abs[0]
         assert np.all(prof.offdiag_abs <= 1.05 * envelope + floor)
 

@@ -95,8 +95,8 @@ def test_pair_and_evolve_match_dense(problem, t):
 def test_decay_profile_matches_dense(count, problem, reach):
     state, obs = problem
     d_state, d_obs = _dense(state, obs)
-    times = np.linspace(-reach, reach, count)
-    got, ref = decay_profile(state, obs, times), decay_profile(d_state, d_obs, times)
+    got = decay_profile(state, obs, -reach, reach, count)
+    ref = decay_profile(d_state, d_obs, -reach, reach, count)
     tol = TOL * _scale(state, obs)
     assert np.max(np.abs(got.offdiag_abs - ref.offdiag_abs)) <= tol
     assert np.max(np.abs(got.expectations - ref.expectations)) <= tol
@@ -106,7 +106,7 @@ def test_decay_profile_matches_dense(count, problem, reach):
 def test_pair_is_the_one_time_decay_profile_bit_for_bit(problem, dense, t):
     # one contraction behind both: the same products in the same order
     state, obs = _dense(*problem) if dense else problem
-    assert pair(evolve(state, t), obs).real == decay_profile(state, obs, [t]).expectations[0]
+    assert pair(evolve(state, t), obs).real == decay_profile(state, obs, t, t, 1).expectations[0]
 
 
 def _direct_offdiag(state, obs, times):
@@ -142,27 +142,12 @@ def test_split_decay_matches_direct_sum_within_noise_floor(problem, dense, start
     # coarse rows and a table's columns into many blocks
     state, obs = _dense(*problem) if dense else problem
     for block, count in itertools.product((kernels.BLOCK_ELEMENTS, 24), SPLIT_COUNTS):
-        times = np.linspace(start, start + step * (count - 1), count)
+        stop = start + step * (count - 1)
         with mock.patch.object(kernels, "BLOCK_ELEMENTS", block):
-            _, offdiag, noise_floor = kernels._contract(state, obs, times)
+            _, offdiag, noise_floor = kernels._contract(state, obs, start, stop, count)
+        times = np.linspace(start, stop, count)
         err = np.abs(offdiag - _direct_offdiag(state, obs, times)).astype(float)
         assert np.max(err) <= noise_floor, (count, np.max(err), noise_floor)
-
-
-def test_uneven_times_refused():
-    grid = make_grid(10.0, 32)
-    gauss = {"type": "gaussian", "mu": 5.0, "sigma": 0.5}
-    state = state_from_descriptors(grid, gauss, gauss)
-    obs = observable_from_descriptors(grid, gauss, gauss)
-    with pytest.raises(ValueError, match="np.linspace"):
-        decay_profile(state, obs, [0.0, 1.0, 3.0])
-    times = np.linspace(-7.0, 9.0, 33)
-    nudged = times.copy()
-    nudged[20] += 16 * np.spacing(9.0)
-    with pytest.raises(ValueError, match=r"t\[20\]"):
-        decay_profile(state, obs, nudged)
-    nudged[20] = times[20] + np.spacing(9.0)  # an ulp: still a progression
-    decay_profile(state, obs, nudged)
 
 
 def _entries_defect(kern):
@@ -279,7 +264,7 @@ def test_self_adjoint_checks_at_n_2e5_stay_small():
     gauss = {"type": "gaussian", "mu": 5.0, "sigma": 0.5}
     tracemalloc.start()
     try:
-        observable_from_descriptors(grid, gauss, gauss, self_adjoint=True)
+        observable_from_descriptors(grid, gauss, gauss)
         report = validate_state(state_from_descriptors(grid, gauss, gauss))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -300,9 +285,9 @@ SCALE_SCRIPT = textwrap.dedent(
     grid = make_grid(10.0, 100_000)
     gauss = {"type": "gaussian", "mu": 5.0, "sigma": 0.5}
     state = state_from_descriptors(grid, gauss, gauss)
-    obs = observable_from_descriptors(grid, gauss, gauss, self_adjoint=True)
+    obs = observable_from_descriptors(grid, gauss, gauss)
     assert validate_state(state).ok
-    prof = decay_profile(state, obs, np.linspace(0.0, 30.0, 64))
+    prof = decay_profile(state, obs, 0.0, 30.0, 64)
     off0 = abs(pair(state, obs) - pair(weak_limit(state), obs))
     assert abs(prof.offdiag_abs[0] - off0) <= 1e-12 * off0, (prof.offdiag_abs[0], off0)
     assert prof.offdiag_abs[-1] < 1e-12 * off0

@@ -6,6 +6,7 @@ Grids are uniform or Clenshaw-Curtis with n <= 64; kernels are random
 complex and non-Hermitian (``self_adjoint=False``), so no symmetry of the
 inputs hides an error in the contraction.
 """
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -91,12 +92,33 @@ def problems(draw, max_n=64):
 @given(problem=problems(), reach=st.floats(0.0, 1.0))
 def test_decay_profile_matches_evolve_then_pair(count, problem, reach):
     state, obs = problem
-    times = np.linspace(0.0, reach * recurrence_time(state.grid), count, endpoint=False)
-    prof = decay_profile(state, obs, times)
+    stop = reach * recurrence_time(state.grid) * (count - 1) / count
+    prof = decay_profile(state, obs, 0.0, stop, count)
     diag = pair(weak_limit(state), obs)
-    ref = np.array([pair(evolve(state, t), obs) for t in times])
+    ref = np.array([pair(evolve(state, t), obs) for t in prof.times])
     assert np.max(np.abs(prof.expectations - ref.real)) <= TOL
     assert np.max(np.abs(prof.offdiag_abs - np.abs(ref - diag))) <= TOL
+
+
+@given(ends=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2).map(sorted),
+       count=st.integers(1, 300))
+def test_decay_profile_times_are_the_linspace_of_its_progression(ends, count):
+    # the samples reported are np.linspace(start, stop, count), bit for bit,
+    # and they lie within the stray that kernels._contract's noise floor
+    # allows of the progression start + m step it evaluates
+    start, stop = ends
+    grid = make_grid(1.0, 2)
+    uniform = {"type": "uniform"}
+    prof = decay_profile(state_from_descriptors(grid, uniform, uniform),
+                         observable_from_descriptors(grid, uniform, uniform),
+                         start, stop, count)
+    assert prof.times.tobytes() == np.linspace(start, stop, count).tobytes()
+    step = Fraction((stop - start) / (count - 1)) if count > 1 else Fraction(0)
+    reach = Fraction(max(abs(start), abs(stop)) if count > 1 else abs(start))
+    # 4 u max|t| to first order, and a subnormal step's absolute roundings
+    bound = 4 * Fraction(EPS / 2) * reach * (1 + 2 * Fraction(EPS)) + count * Fraction(2.0**-1074)
+    for m, t in enumerate(prof.times.tolist()):
+        assert abs(Fraction(t) - (Fraction(start) + m * step)) <= bound, m
 
 
 @given(
@@ -114,25 +136,25 @@ def test_gaussian_decay_matches_closed_form_rate(sigmas, centres):
     # exp(-rate (t_rec - t)^2), stays far below every fitted sample
     n = grid_size_for_spacing(10.0, 2.0 * np.pi / (4.0 * t_max))
     grid = make_grid(10.0, n)
-    times = np.linspace(0.0, t_max, 101)
-    assert times[-1] <= 0.8 * recurrence_time(grid)
+    assert t_max <= 0.8 * recurrence_time(grid)
 
     def gauss(mu, sigma):
         return {"type": "gaussian", "mu": mu, "sigma": sigma}
 
     state = state_from_descriptors(grid, gauss(m1, s1), gauss(m1, s1))
     obs = observable_from_descriptors(grid, gauss(m2, s2), gauss(m2, s2))
-    prof = decay_profile(state, obs, times)
+    prof = decay_profile(state, obs, 0.0, t_max, 101)
     fitted, _ = fit_gaussian_envelope(prof)
     assert abs(fitted - rate) <= 0.01 * rate
     ratio = prof.offdiag_abs / prof.offdiag_abs[0]
-    assert np.all(np.abs(ratio - np.exp(-rate * times**2)) <= 0.01 * np.exp(-rate * times**2))
+    decay = np.exp(-rate * prof.times**2)
+    assert np.all(np.abs(ratio - decay) <= 0.01 * decay)
 
 
 @given(problem=problems())
 def test_diag_value_is_the_weak_limit_pairing_bit_for_bit(problem):
     state, obs = problem
-    prof = decay_profile(state, obs, [0.0])
+    prof = decay_profile(state, obs, 0.0, 0.0, 1)
     assert prof.diag_value.hex() == pair(weak_limit(state), obs).real.hex()
 
 
