@@ -8,6 +8,7 @@ Time units assume hbar = 1 throughout.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -16,22 +17,19 @@ from .errors import ConfigError, VanHoveError
 from .harness import run_experiment
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vanhove",
         description="declarative experiment runner for spectral-kernel decoherence",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for kind in KIND_SCHEMAS:
-        p = sub.add_parser(kind, help=f"run a '{kind}' experiment config")
-        p.add_argument("--config", required=True, type=Path, help="JSON config file")
-        p.add_argument("--out", required=True, type=Path, help="output directory")
-        p.add_argument(
-            "--threads", type=int, help="accepted and ignored; no computation depends on it"
-        )
-        p.add_argument(
-            "--seed", type=int, default=None, help="overrides the config seed"
-        )
+    parser.add_argument("command", choices=list(KIND_SCHEMAS), help="the config's experiment kind")
+    parser.add_argument("--config", required=True, type=Path, help="JSON config file")
+    parser.add_argument("--out", required=True, type=Path, help="output directory")
+    parser.add_argument(
+        "--threads", type=int, help="accepted and ignored; no computation depends on it"
+    )
+    parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     return parser
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -37,21 +38,22 @@ def _strict(properties: dict, *required: str) -> dict:
 
 def _tagged(tag: str, variants: dict) -> dict:
     """An object whose ``tag`` value picks one of ``variants``: tag value ->
-    _strict schema of the other fields.  Each branch applies only when the
-    tag is present and holds its value, so a refusal names a field of the
-    chosen variant."""
-    branches = [
-        {
+    _strict schema of the other fields.  The variants form one if/then/else
+    chain in declaration order, so validation tests tags only up to the
+    matching one; a variant's ``then`` applies only when the tag is present
+    and holds its value, so a refusal names a field of the chosen variant."""
+    chain = True
+    for value, schema in reversed(variants.items()):
+        chain = {
             "if": {"properties": {tag: {"const": value}}, "required": [tag]},
             "then": {**schema, "properties": {tag: True, **schema["properties"]}},
+            "else": chain,
         }
-        for value, schema in variants.items()
-    ]
     return {
         "type": "object",
         "properties": {tag: {"enum": list(variants)}},
         "required": [tag],
-        "allOf": branches,
+        **chain,
     }
 
 
@@ -255,6 +257,7 @@ KIND_SCHEMAS = {
 }
 
 CONFIG = _tagged("kind", KIND_SCHEMAS)
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG)
 
 # the RNG behind every randomized descriptor; counter-based so any
 # implementation can reproduce the stream from (seed, draw order)
@@ -265,8 +268,9 @@ def load_config(path) -> dict:
     """Parse and validate an experiment config; table paths become absolute.
 
     Raises ConfigError with the offending line (parse errors), the
-    literal (NaN, Infinity or -Infinity, which Python's json would accept)
-    or field path (schema violations).
+    literal (NaN, Infinity or -Infinity, which Python's json would accept,
+    or a number that does not fit a float64) or field path (schema
+    violations).
     """
     path = Path(path)
     if not path.exists():
@@ -275,15 +279,26 @@ def load_config(path) -> dict:
     def refuse(literal):
         raise ConfigError(f"{path}: {literal} is not JSON; a config takes finite numbers only")
 
+    def finite(parse):
+        def checked(literal):
+            if not math.isfinite(float(literal)):
+                raise ConfigError(
+                    f"{path}: {literal} does not fit a float64; a config takes finite numbers only"
+                )
+            return parse(literal)
+        return checked
+
     try:
-        config = json.loads(path.read_text(), parse_constant=refuse)
+        config = json.loads(
+            path.read_text(),
+            parse_constant=refuse, parse_float=finite(float), parse_int=finite(int),
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
 
-    validator = jsonschema.Draft202012Validator(CONFIG)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(map(str, e.path)))
+    errors = sorted(_VALIDATOR.iter_errors(config), key=lambda e: list(map(str, e.path)))
     if errors:
         err = errors[0]
         where = "/".join(map(str, err.path)) or "<root>"

@@ -1,6 +1,8 @@
+import ast
 import copy
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -9,8 +11,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vanhove import (
     CosmoState,
@@ -26,8 +30,18 @@ from vanhove import (
     trajectory_ensemble,
 )
 from vanhove._csv import read_csv
-from vanhove.cli import main
-from vanhove.config import ConfigError, config_hash, load_config
+from vanhove.cli import _build_parser, main
+from vanhove import config as config_module
+from vanhove.config import (
+    COSMO_STATE,
+    DESCRIPTOR,
+    KIND_SCHEMAS,
+    PHASE_FUNCTION,
+    POTENTIAL,
+    ConfigError,
+    config_hash,
+    load_config,
+)
 from vanhove.cosmology import DEFAULT_EPS_SHELL
 from vanhove import harness
 from vanhove.harness import _Run, run_experiment
@@ -140,10 +154,138 @@ class TestLoadConfig:
         assert f"{literal} is not JSON" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("literal", ["1e400", "1" * 401], ids=["1e400", "401-digits"])
+    def test_number_beyond_float64_is_2(self, tmp_path, capsys, literal):
+        # json reads the first as inf, and the second as an int no float holds
+        path = write_config(tmp_path, gaussian_evolve_config(expected_rate=2.0))
+        path.write_text(path.read_text().replace('"expected_rate": 2.0',
+                                                 f'"expected_rate": {literal}'))
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+        assert f"{literal} does not fit a float64" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hash_stable_under_key_order(self):
         a = {"kind": "evolve", "x": 1, "y": [1, 2]}
         b = {"y": [1, 2], "x": 1, "kind": "evolve"}
         assert config_hash(a) == config_hash(b)
+
+
+def _earlier_tagged(tag: str, variants: dict) -> dict:
+    """The earlier rendering of a tagged union: an ``allOf`` of independent
+    if/then branches, each of which jsonschema tests."""
+    branches = [
+        {
+            "if": {"properties": {tag: {"const": value}}, "required": [tag]},
+            "then": {**schema, "properties": {tag: True, **schema["properties"]}},
+        }
+        for value, schema in variants.items()
+    ]
+    return {
+        "type": "object",
+        "properties": {tag: {"enum": list(variants)}},
+        "required": [tag],
+        "allOf": branches,
+    }
+
+
+def earlier_config_schema() -> dict:
+    """``vanhove.config.CONFIG`` built from the same schema data with
+    ``_earlier_tagged`` in place of ``_tagged``."""
+    tree = ast.parse(Path(config_module.__file__).read_text())
+    earlier = ast.parse(textwrap.dedent(inspect.getsource(_earlier_tagged))).body[0]
+    earlier.name = "_tagged"
+    tree.body = [earlier if isinstance(node, ast.FunctionDef) and node.name == "_tagged"
+                 else node for node in tree.body]
+    namespace = {"__name__": "vanhove.earlier_config", "__package__": "vanhove"}
+    exec(compile(tree, config_module.__file__, "exec"), namespace)
+    return namespace["CONFIG"]
+
+
+def _places(node, at=()):
+    """(path, value) for ``node`` and every value inside it."""
+    yield at, node
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _places(value, (*at, key))
+
+
+def _container(config, at):
+    for key in at[:-1]:
+        config = config[key]
+    return config
+
+
+_TAGS = {
+    "kind": list(KIND_SCHEMAS),
+    "family": POTENTIAL["properties"]["family"]["enum"],
+    "type": [t for union in (DESCRIPTOR, COSMO_STATE, PHASE_FUNCTION)
+             for t in union["properties"]["type"]["enum"]],
+}
+
+
+@st.composite
+def one_field_mutations(draw, configs):
+    """One of ``configs`` with one field dropped, added, replaced or given
+    another tag."""
+    config = copy.deepcopy(draw(st.sampled_from(configs)))
+    places = list(_places(config))
+    op = draw(st.sampled_from(["drop", "add", "replace", "switch"]))
+    if op == "add":
+        draw(st.sampled_from([v for _, v in places if isinstance(v, dict)]))["unknown"] = 1
+    elif op == "switch":
+        node = draw(st.sampled_from([v for _, v in places if isinstance(v, dict)
+                                     and _TAGS.keys() & v.keys()]))
+        [tag] = _TAGS.keys() & node.keys()
+        node[tag] = draw(st.sampled_from([t for t in _TAGS[tag] if t != node[tag]]))
+    else:
+        at = draw(st.sampled_from([at for at, _ in places if at and (
+            op == "replace" or isinstance(_container(config, at), dict))]))
+        if op == "drop":
+            del _container(config, at)[at[-1]]
+        else:
+            _container(config, at)[at[-1]] = draw(st.sampled_from([True, "table.csv", None, -1]))
+    return config
+
+
+@pytest.fixture(scope="module")
+def gate_configs():
+    return list(refactor_gate().RUNS.values())
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    """A directory holding the tables the gate configs name, as empty files:
+    load_config only checks that they exist."""
+    directory = tmp_path_factory.mktemp("configs")
+    for name in ("table.csv", "potential.csv"):
+        (directory / name).touch()
+    return directory
+
+
+_EARLIER = jsonschema.Draft202012Validator(earlier_config_schema())
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_unions_as_a_chain_keep_every_refusal(gate_configs, table_dir, data):
+    # the accept or refuse decision, and the refusal's text, of the earlier
+    # rendering, on one-field mutations of every refactor-gate config
+    config = data.draw(one_field_mutations(gate_configs))
+    path = table_dir / "config.json"
+    path.write_text(json.dumps(config))
+    try:
+        load_config(path)
+    except ConfigError as exc:
+        refusal = str(exc).removeprefix(f"{path}: ")
+    else:
+        refusal = None
+    errors = sorted(_EARLIER.iter_errors(config), key=lambda e: list(map(str, e.path)))
+    expected = None
+    if errors:
+        where = "/".join(map(str, errors[0].path)) or "<root>"
+        expected = f"field '{where}': {errors[0].message}"
+    assert refusal == expected
 
 
 class TestExitCodes:
@@ -290,6 +432,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "stage 'state-density'" in err
         assert "widen epsilon" in err
+
+
+class TestParser:
+    def test_one_parser_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_no_seed_carried_between_calls(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"kind": "oracle", "target": "pair", "n": 8, "trials": 2})
+        # options may come before the kind
+        seeded = ["--seed", "3", "--config", str(cfg), "oracle", "--out", str(tmp_path / "a")]
+        assert main(seeded) == 0
+        capsys.readouterr()
+        assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
+        assert "provide 'seed'" in capsys.readouterr().err
+
+    def test_unknown_kind_is_2_and_usage_lists_the_kinds(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["explode", "--config", "c.json", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: vanhove")
+        assert "{evolve,weak-limit,wigner,cosmo,validate,oracle}" in err
 
 
 class TestEvolveArtifacts:
