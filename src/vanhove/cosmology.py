@@ -18,6 +18,7 @@ from __future__ import annotations
 # nothing here runs a pool; perfbench/spans.py patches this name when it traces
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -307,10 +308,11 @@ def enumerate_fock(
     cut) drops vectors whose total energy exceeds it.  The vacuum always
     survives.
 
-    The walk is depth-first over the modes.  Every frequency is positive,
-    so a prefix whose running energy passes the cut has no surviving
-    completion and is not extended; the cost scales with the kept vectors,
-    not with the (n_max + 1)^M occupancy box.
+    The prune goes one mode at a time, on arrays: every kept prefix is
+    extended by 0..n_max quanta of the next mode, and only the extensions
+    whose running energy stays within the cut are kept.  Every frequency is
+    positive, so a prefix past the cut has no surviving completion; the cost
+    scales with the kept vectors, not with the (n_max + 1)^M occupancy box.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -322,29 +324,24 @@ def enumerate_fock(
     # per mode), so the prune tests against a slightly raised cut and never
     # drops a vector that the exact leaf test below would keep.
     prune_above = cut * (1.0 + _PRUNE_SLACK)
-    kept: list[tuple[tuple[int, ...], float]] = []
-    stack = [((), 0.0)]
-    while stack:
-        prefix, partial = stack.pop()
-        if len(prefix) == freqs.size:
-            energy = float(np.dot(prefix, freqs))
-            if energy <= cut:
-                kept.append((prefix, energy))
-            continue
-        freq = float(freqs[len(prefix)])
-        for n in range(n_max + 1):
-            running = partial + n * freq
-            if running > prune_above:
-                break
-            stack.append((prefix + (n,), running))
-    kept.sort(key=lambda item: (item[1], item[0]))
-    occupations = tuple(occ for occ, _ in kept)
-    energies = np.array([e for _, e in kept])
+    quanta = np.arange(n_max + 1)
+    occ = np.zeros((1, 0), dtype=int)
+    running = np.zeros(1)
+    for freq in freqs:
+        extended = running[:, None] + quanta * freq
+        prefix, n = np.nonzero(extended <= prune_above)
+        occ = np.column_stack([occ[prefix], n])
+        running = extended[prefix, n]
+    energies = np.array([np.dot(row, freqs) for row in occ])
+    keep = energies <= cut
+    occ, energies = occ[keep], energies[keep]
+    # energy first, then the occupations left to right
+    order = np.lexsort([*occ.T[::-1], energies])
     return FockBasis(
         mode_set=mode_set,
-        occupations=occupations,
-        energies=energies,
-        truncated_count=(n_max + 1) ** freqs.size - len(kept),
+        occupations=tuple(map(tuple, occ[order].tolist())),
+        energies=energies[order],
+        truncated_count=(n_max + 1) ** freqs.size - energies.size,
     )
 
 
@@ -475,8 +472,7 @@ def diagonalize_remaining(state: CosmoState) -> list[PointerBasis]:
 # trajectory ensemble
 
 
-@dataclass(frozen=True)
-class TrajectoryEntry:
+class TrajectoryEntry(NamedTuple):
     l_values: tuple
     a0: float
     probability: float
@@ -582,13 +578,13 @@ def trajectory_ensemble(
     constraints = ConstraintSet([*invariant_fields, qfield], policy)
     uniform = 1.0 / len(a0_points)
     jobs = [
-        (tuple(float(x) for x in lv), a0, max(float(eig), 0.0) * uniform)
+        (tuple(map(float, lv)), a0, max(eig, 0.0) * uniform)
         for pb, shell in zip(pointer, l_values)
-        for eig, lv in zip(pb.eigenvalues, shell)
+        for eig, lv in zip(pb.eigenvalues.tolist(), shell)
         for a0 in a0_points
     ]
     probabilities = np.array([prob for _, _, prob in jobs])
     totals, masses = constraints.summed([[*lv, a0] for lv, a0, _ in jobs], probabilities)
     degenerate = (probabilities > 0.0) & (masses < DEGENERATE_MASS_TOL)
-    entries = [TrajectoryEntry(*job, bool(flag)) for job, flag in zip(jobs, degenerate)]
+    entries = [TrajectoryEntry(*job, flag) for job, flag in zip(jobs, degenerate.tolist())]
     return TrajectoryEnsemble(entries), constraints.density(totals)

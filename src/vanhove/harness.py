@@ -134,16 +134,15 @@ _PHASE_FUNCTIONS = {
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(int(seed)))
 
 
-def _require_seed(seed: int | None) -> int:
-    if seed is None:
-        raise ConfigError(
-            "this experiment draws random inputs; provide 'seed' in the config "
-            "or pass --seed"
-        )
-    return int(seed)
+def _draws_random(config: dict) -> bool:
+    """Whether the run draws random inputs: every oracle run, and a cosmo
+    run from a random state."""
+    return config["kind"] == "oracle" or (
+        config["kind"] == "cosmo" and config["state"]["type"] == "random"
+    )
 
 
 def run_experiment(config: dict, out_dir, seed: int | None = None) -> RunResult:
@@ -153,6 +152,11 @@ def run_experiment(config: dict, out_dir, seed: int | None = None) -> RunResult:
     if seed is not None and seed < 0:
         raise ConfigError(
             f"seed {seed} is negative; pass --seed or set 'seed' in the config to an integer >= 0"
+        )
+    if seed is None and _draws_random(config):
+        raise ConfigError(
+            "this experiment draws random inputs; provide 'seed' in the config "
+            "or pass --seed"
         )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -379,8 +383,7 @@ def _run_cosmo(config, run: _Run, seed) -> None:
                 f"a_out={mode_set.a_out} must exceed the potential support "
                 f"a1={potential.a1}"
             )
-        random_state = config["state"]["type"] == "random"
-        rng = _rng(_require_seed(seed)) if random_state else None
+        rng = _rng(seed) if _draws_random(config) else None
     with run.stage("fock-basis"):
         basis = cosmo.enumerate_fock(mode_set, config["n_max"], config.get("omega_cut"))
         eps_shell = config.get("eps_shell", cosmo.DEFAULT_EPS_SHELL)
@@ -462,7 +465,7 @@ def _run_oracle(config, run: _Run, seed) -> None:
     target = config["target"]
     trials = config.get("trials", 100)
     tolerance = config.get("tolerance", 1e-10)
-    rng = _rng(_require_seed(seed))
+    rng = _rng(seed)
     results = []  # (got, reference) per trial
 
     if target == "pair":

@@ -72,14 +72,16 @@ class PointerBasis:
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude component (first such
     index on ties) is real and positive."""
+    rows = np.argmax(np.abs(vecs), axis=0)
+    pivot = vecs[rows, np.arange(vecs.shape[1])]
+    cols = np.flatnonzero(pivot)  # a zero pivot is a zero column: it stays
+    rows, pivot = rows[cols], pivot[cols]
+    # hypot rounds as abs() of one complex scalar does; np.abs of an array
+    # differs from it by an ulp at times
+    size = np.hypot(pivot.real, pivot.imag)
     out = vecs.copy()
-    for col in range(out.shape[1]):
-        v = out[:, col]
-        k = int(np.argmax(np.abs(v)))
-        pivot = v[k]
-        if pivot != 0:
-            out[:, col] = v * (abs(pivot) / pivot)
-            out[k, col] = abs(pivot)  # the rotation leaves ~1e-19 of imaginary part
+    out[:, cols] *= size / pivot
+    out[rows, cols] = size  # the rotation leaves ~1e-19 of imaginary part
     return out
 
 

@@ -408,6 +408,17 @@ class TestExitCodes:
         assert "seed -1 is negative" in err and "--seed" in err and "'seed'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["oracle", "cosmo"])
+    def test_missing_seed_is_2_and_leaves_no_output_directory(self, tmp_path, capsys, kind):
+        cfg = {"kind": "oracle", "target": "pair", "trials": 2}
+        if kind == "cosmo":
+            cfg = {**TestCosmoKind().config(), "state": {"type": "random", "coherence": 0.5}}
+        out = tmp_path / "out"
+        rc = main([kind, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert rc == 2
+        assert "provide 'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_size_limit(self, tmp_path, capsys):
         cfg = {"kind": "oracle", "target": "pair", "n": 5000, "trials": 1, "seed": 1}
         rc = main(["oracle", "--config", str(write_config(tmp_path, cfg)),
@@ -917,7 +928,7 @@ class TestCosmoKind:
         rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
         rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)),
                    "--out", str(tmp_path / "out"), "--seed", "11"])
         assert rc == 0

@@ -47,7 +47,7 @@ from vanhove import (
 )
 from vanhove.kernels import grid_size_for_spacing
 from vanhove.oracles import dense_pair_oracle
-from vanhove.pointer import TIE_TOL
+from vanhove.pointer import TIE_TOL, _fix_phases
 from vanhove import wigner
 from vanhove.wigner import (
     DEGENERATE_MASS_TOL,
@@ -348,6 +348,46 @@ def test_pointer_basis_reconstructs_and_is_unitary(shells):
             assert np.any((column.imag == 0.0) & (column.real >= (1.0 - TOL) * peak))
 
 
+def fix_phases_by_column(vecs):
+    """Each column rotated on its own so that its first largest-magnitude
+    component is real and positive; a zero column stays as it is."""
+    out = vecs.copy()
+    for col in range(out.shape[1]):
+        v = out[:, col]
+        k = int(np.argmax(np.abs(v)))
+        pivot = v[k]
+        if pivot != 0:
+            out[:, col] = v * (abs(pivot) / pivot)
+            out[k, col] = abs(pivot)
+    return out
+
+
+@st.composite
+def phase_matrices(draw):
+    """A complex n x m matrix, 1 <= n, m <= 12, of random magnitude, in C or
+    Fortran order, in which some columns have two components of one largest
+    magnitude (z and i z) and some are zero, with signed zeros."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-150.0, 150.0))
+    vecs = scale * (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+    for col in range(m):
+        kind = draw(st.sampled_from(["random", "tie", "zero"]))
+        if kind == "tie" and n > 1:
+            i, j = rng.choice(n, 2, replace=False)
+            vecs[i, col] = 2.0 * np.max(np.abs(vecs[:, col]))
+            vecs[j, col] = 1j * vecs[i, col]
+        elif kind == "zero":
+            vecs[:, col] = rng.choice([0.0, -0.0], n) + 1j * rng.choice([0.0, -0.0], n)
+    return np.asfortranarray(vecs) if draw(st.booleans()) else vecs
+
+
+@settings(max_examples=300)
+@given(vecs=phase_matrices())
+def test_fix_phases_is_the_column_loop_bit_for_bit(vecs):
+    assert _fix_phases(vecs).tobytes() == fix_phases_by_column(vecs).tobytes()
+
+
 # one energy grid and harmonic phase window for every classical-spectral draw
 SPECTRAL_GRID = make_grid(3.0, 128)
 HARMONIC = harmonic_field(PhaseGrid((-2.8, 2.8), (-2.8, 2.8), 151, 151))
@@ -643,6 +683,32 @@ def test_band_rule_blocks_hold_one_phase_field_of_factors(problem):
         assert count <= cells or block.stop - block.start == 1
         if block.stop < len(levels):
             assert entries(rows, columns, block.start, block.stop + 1) > cells
+
+
+@settings(max_examples=60)
+@given(problem=st.one_of(staircase_mixtures(), shell_mixtures()), data=st.data())
+def test_summed_sums_each_distinct_level_row_once(problem, data):
+    # every row 1-4 times, each copy with a weight of its own, shuffled
+    fields, eps, levels, _ = problem
+    assume(len(np.unique(levels, axis=0)) == len(levels))
+    constraints = ConstraintSet(fields, MollifierPolicy(eps))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    copies = rng.permutation(np.repeat(np.arange(len(levels)), rng.integers(1, 5, len(levels))))
+    weights = rng.choice([0.0, 1.0], copies.size, p=[0.2, 0.8]) * rng.uniform(0.1, 10.0, copies.size)
+    totals, masses = constraints.summed(np.asarray(levels)[copies], weights)
+
+    # the masses, in the caller's order, are those of the distinct rows
+    _, distinct_masses = constraints.summed(levels, np.ones(len(levels)))
+    assert np.array_equal(masses, distinct_masses[copies])
+
+    # the totals are the copy-by-copy sum of unit-weight components, within
+    # the rounding of adding the weights first: every term is nonnegative,
+    # so the difference is within SUM_ULPS ulps of the largest total
+    units = [constraints.summed([lv], [1.0])[0] for lv in levels]
+    reference = np.zeros_like(totals)
+    for row, weight in zip(copies, weights):
+        reference += weight * units[row]
+    assert_close_to_max(totals, reference)
 
 
 @st.composite
