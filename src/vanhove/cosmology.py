@@ -42,6 +42,8 @@ from .wigner import (
 DEFAULT_EPS_SHELL = 1e-9
 IMAG_TOL = 1e-10
 CROSS_BLOCK_TOL = 1e-10
+# smallest eigenvalue an explicit state may have: the trace's rounding slack
+POSITIVITY_TOL = 1e-10
 # relative slack of the Fock-enumeration prune: far above the rounding gap
 # (about 2 M ulps) between a running sum of M terms and np.dot of them
 _PRUNE_SLACK = 1e-9
@@ -415,9 +417,15 @@ def random_cosmo_state(
     amp = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = amp @ amp.conj().T
     rho /= np.trace(rho).real
-    mixed = coherence * rho + (1.0 - coherence) * np.diag(np.diag(rho))
-    mixed = 0.5 * (mixed + mixed.conj().T)
-    return CosmoState(basis, mixed, eps_shell)
+    # c·rho + (1 − c)·diag(diag rho), then the Hermitian part, in place and
+    # in the same order of operations, so the bytes are those of the
+    # out-of-place expressions
+    kept = (1.0 - coherence) * np.diag(rho)
+    np.multiply(coherence, rho, out=rho)
+    rho.flat[:: d + 1] += kept
+    rho += rho.conj().T
+    np.multiply(0.5, rho, out=rho)
+    return CosmoState(basis, rho, eps_shell)
 
 
 def cosmo_expectation(state: CosmoState, obs: np.ndarray, t: float) -> float:

@@ -3,8 +3,9 @@ and writes a checksummed run manifest.
 
 Stages run sequentially; artifacts land in the output directory only, and
 the manifest (config hash, tool version, per-artifact sha256, wall time
-per stage) is written last.  Identical (config, seed) pairs reproduce
-byte-identical artifacts.
+per stage) is written last.  A rerun into the same directory removes the
+old manifest before its first stage and replaces each artifact it writes.
+Identical (config, seed) pairs reproduce byte-identical artifacts.
 """
 from __future__ import annotations
 
@@ -99,8 +100,12 @@ class _Run:
 
     def record(self, name: str, write) -> None:
         """Write the artifact ``name`` with ``write(path)`` and checksum it,
-        read back 1 MiB at a time, so no artifact is held whole."""
+        read back 1 MiB at a time, so no artifact is held whole.  An earlier
+        file (or symlink) at the path is removed first: a new file is
+        cheaper to write than a truncated one, and a link is not followed
+        out of the output directory."""
         path = self.out_dir / name
+        path.unlink(missing_ok=True)
         write(path)
         digest = hashlib.sha256()
         with open(path, "rb") as fh:
@@ -112,9 +117,7 @@ class _Run:
 
 
 def _dump_json(payload: dict, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", newline="")
 
 
 def _write_json(run: _Run, name: str, payload: dict) -> None:
@@ -160,6 +163,10 @@ def run_experiment(config: dict, out_dir, seed: int | None = None) -> RunResult:
         )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # no manifest vouches for a mix of old and new artifacts if this run
+    # fails; the one written last is then a new file
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     run = _Run(out_dir=out_dir)
     kind = config["kind"]
 
@@ -182,7 +189,7 @@ def run_experiment(config: dict, out_dir, seed: int | None = None) -> RunResult:
         "stages": run.stages,
         "artifacts": sorted(run.artifacts, key=lambda a: a["path"]),
     }
-    _dump_json(manifest, out_dir / "manifest.json")
+    _dump_json(manifest, manifest_path)
     return RunResult(manifest=manifest, failures=run.failures)
 
 
@@ -369,7 +376,16 @@ def _cosmo_state_from(cfg: dict, basis, eps_shell: float, rng) -> cosmo.CosmoSta
     im = np.asarray(cfg.get("im", np.zeros_like(re)), dtype=float)
     if im.shape != re.shape:
         raise ConfigError(f"field 'state/im' has shape {im.shape}, 'state/re' has {re.shape}")
-    return cosmo.CosmoState(basis, re + 1j * im, eps_shell)
+    state = cosmo.CosmoState(basis, re + 1j * im, eps_shell)
+    # random and uniform states are positive by construction
+    lowest = state.min_eigenvalue()
+    if lowest < -cosmo.POSITIVITY_TOL:
+        raise ConfigError(
+            f"field 'state/re' (with 'state/im') is not a density matrix: its "
+            f"smallest eigenvalue is {lowest:.6g} < -{cosmo.POSITIVITY_TOL:g}; "
+            f"give a positive semidefinite matrix"
+        )
+    return state
 
 
 def _run_cosmo(config, run: _Run, seed) -> None:
@@ -431,7 +447,6 @@ def _run_cosmo(config, run: _Run, seed) -> None:
             "basis_size": basis.size,
             "truncated_count": basis.truncated_count,
             "shell_count": len(state.shells),
-            "min_eigenvalue": float(state.min_eigenvalue()),
             "cross_block_magnitude": float(state.cross_block_magnitude()),
         }
         if "trajectory" in config:

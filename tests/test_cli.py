@@ -921,6 +921,32 @@ class TestCosmoKind:
         assert f"field '{field}' has rows of lengths [1, 2]" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("trajectory", [True, False], ids=["trajectory", "no-trajectory"])
+    def test_explicit_state_with_a_negative_eigenvalue_is_2(self, tmp_path, capsys, trajectory):
+        # Hermitian, trace one and a positive diagonal, but the middle shell
+        # block [[0.45, 0.65], [0.65, 0.45]] has eigenvalue -0.2: no state
+        cfg = self.config()
+        cfg["state"]["re"][1][2] = cfg["state"]["re"][2][1] = 0.65
+        if not trajectory:
+            del cfg["trajectory"]
+        out = tmp_path / "out"
+        rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "field 'state/re'" in err
+        assert "smallest eigenvalue is -0.2" in err
+        assert list(out.iterdir()) == []
+
+    def test_pure_explicit_state_runs(self, tmp_path):
+        # |psi><psi| has eigenvalue 1 and three zeros, which eigvalsh may
+        # return as rounding-sized negatives
+        psi = np.array([1.0, 2.0, 0.0, 3.0]) / np.sqrt(14.0)
+        cfg = self.config()
+        cfg["state"]["re"] = np.outer(psi, psi).tolist()
+        rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+
     def test_random_state_requires_seed(self, tmp_path):
         cfg = self.config()
         cfg["state"] = {"type": "random", "coherence": 0.5}
@@ -1131,6 +1157,63 @@ class TestReproducibility:
         a = {x["path"]: x["sha256"] for x in r1.manifest["artifacts"]}
         b = {x["path"]: x["sha256"] for x in r2.manifest["artifacts"]}
         assert a != b
+
+
+class TestOutputDirectory:
+    @staticmethod
+    def wigner_config(observable_path=None):
+        cfg = {
+            "kind": "wigner",
+            "grid": {"omega_max": 3.0, "n": 128},
+            "phase_grid": {"q_range": [-2.8, 2.8], "p_range": [-2.8, 2.8],
+                           "nq": 201, "np": 201},
+            "hamiltonian": {"type": "harmonic"},
+            "state": {"singular": {"type": "gaussian", "mu": 1.0, "sigma": 0.3}},
+            "epsilon": 0.15,
+        }
+        if observable_path is not None:
+            cfg["observable"] = {"singular": {"type": "table", "path": observable_path}}
+        return cfg
+
+    @pytest.mark.parametrize("kind", ["cosmo", "wigner"])
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys, kind):
+        # the cosmo rerun is refused before its first artifact (l_values of
+        # the wrong shape), the wigner rerun after it (an observable table
+        # with the wrong header is read in stage 'summary')
+        if kind == "cosmo":
+            good = TestCosmoKind().config()
+            bad = copy.deepcopy(good)
+            bad["trajectory"]["l_values"] = [[[0.3]]]
+        else:
+            (tmp_path / "obs.csv").write_text("omega,bad\n0.0,1.0\n")
+            good, bad = self.wigner_config(), self.wigner_config("obs.csv")
+        out = tmp_path / "out"
+        assert main([kind, "--config", str(write_config(tmp_path, good)), "--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
+        rc = main([kind, "--config", str(write_config(tmp_path, bad, "bad.json")),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "stage" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("name", ["decay.csv", "summary.json", "manifest.json"])
+    def test_symlinked_artifact_is_replaced_not_written_through(self, tmp_path, name):
+        # the output directory is the only write target: a link in it that
+        # points outside becomes a regular file, and its target keeps its bytes
+        outside = tmp_path / "outside.txt"
+        outside.write_bytes(b"not an artifact\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).symlink_to(outside)
+        cfg = gaussian_evolve_config()
+        assert main(["evolve", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+        assert outside.read_bytes() == b"not an artifact\n"
+        assert not (out / name).is_symlink()
+        manifest = json.loads((out / "manifest.json").read_text())
+        for item in manifest["artifacts"]:
+            digest = hashlib.sha256((out / item["path"]).read_bytes()).hexdigest()
+            assert digest == item["sha256"]
 
 
 class TestThreads:

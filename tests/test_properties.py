@@ -388,6 +388,35 @@ def test_fix_phases_is_the_column_loop_bit_for_bit(vecs):
     assert _fix_phases(vecs).tobytes() == fix_phases_by_column(vecs).tobytes()
 
 
+def random_cosmo_matrix_out_of_place(basis, rng, coherence):
+    """The random state's matrix from out-of-place expressions: the mix
+    m = c rho + (1 - c) diag(diag rho) of the normalized Gram product, then
+    0.5 (m + m^H)."""
+    d = basis.size
+    amp = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = amp @ amp.conj().T
+    rho /= np.trace(rho).real
+    mixed = coherence * rho + (1.0 - coherence) * np.diag(np.diag(rho))
+    return 0.5 * (mixed + mixed.conj().T)
+
+
+@settings(max_examples=100)
+@given(
+    d=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    # at c = 0, c x is -0.0 for a negative part x of an off-diagonal entry
+    coherence=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)),
+)
+@example(d=60, seed=0, coherence=0.0)
+def test_random_cosmo_state_is_the_out_of_place_mix_bit_for_bit(d, seed, coherence):
+    # one mode of frequency 1 cut at d - 1: the vectors of 0 to d - 1 quanta
+    basis = enumerate_fock(ModeSet([1.0], m=0.0, a_out=1.0), max(d - 1, 1), d - 1)
+    assert basis.size == d
+    state = random_cosmo_state(basis, np.random.default_rng(seed), coherence)
+    expected = random_cosmo_matrix_out_of_place(basis, np.random.default_rng(seed), coherence)
+    assert state.matrix.tobytes() == expected.tobytes()
+
+
 # one energy grid and harmonic phase window for every classical-spectral draw
 SPECTRAL_GRID = make_grid(3.0, 128)
 HARMONIC = harmonic_field(PhaseGrid((-2.8, 2.8), (-2.8, 2.8), 151, 151))
