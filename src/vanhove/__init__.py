@@ -9,17 +9,7 @@ trajectories.  See the ``vanhove`` CLI for the experiment harness.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    DegenerateSupportError,
-    DomainMismatchError,
-    GridMismatchError,
-    IncompatibleBasisError,
-    InvalidPotentialError,
-    InvalidShellError,
-    NotEquilibratedError,
-    VanHoveError,
-)
+from .errors import ConfigError, VanHoveError
 from .kernels import (
     EnergyGrid,
     Observable,

@@ -22,12 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._csv import write_csv
-from .errors import (
-    IncompatibleBasisError,
-    InvalidPotentialError,
-    NotEquilibratedError,
-)
 from .kernels import _frozen
 from .pointer import PointerBasis, ShellState, pointer_state
 from .wigner import (
@@ -73,7 +67,7 @@ class Potential:
             raise ValueError(f"support bound a1 must be positive, got {self.a1}")
         if self.family in ("constant", "quadratic-cap"):
             if self.lam < 0:
-                raise InvalidPotentialError(
+                raise ValueError(
                     f"energy density must be nonnegative, got {self.lam}"
                 )
         elif self.family == "table":
@@ -83,7 +77,7 @@ class Potential:
             if not np.all(np.diff(ta) > 0):
                 raise ValueError("table potential abscissae must be increasing")
             if np.any(tv < 0):
-                raise InvalidPotentialError("table potential has negative values")
+                raise ValueError("table potential has negative values")
             # a zero of V inside (0, a1) is a point the path may rest at or
             # leave: the scale factor is not unique there.  Below a[0] the
             # table extends V[0], so V[0] = 0 with a[0] > 0 is one too.
@@ -92,7 +86,7 @@ class Potential:
             zeros = np.flatnonzero(inside & (tv == 0))
             if zeros.size:
                 i = zeros[0]
-                raise InvalidPotentialError(
+                raise ValueError(
                     f"table potential vanishes at sample {i} (a = {float(ta[i])}) "
                     f"inside (0, a1 = {self.a1}), where the scale factor is not unique"
                 )
@@ -112,7 +106,7 @@ class Potential:
             v = np.interp(a, self.table_a, self.table_v)
         v = np.where(a > self.a1, 0.0, v)
         if np.any(v < 0):
-            raise InvalidPotentialError("potential evaluated negative inside support")
+            raise ValueError("potential evaluated negative inside support")
         return v if v.ndim else float(v)
 
 
@@ -150,10 +144,6 @@ class ScaleFactorSolution:
     def __post_init__(self):
         for name in ("eta_samples", "a_samples", "s_samples"):
             object.__setattr__(self, name, _frozen(getattr(self, name), float))
-
-    def to_csv(self, path) -> None:
-        columns = [self.eta_samples, self.a_samples, self.s_samples]
-        write_csv(path, ["eta", "a", "S"], columns)
 
 
 def solve_scale_factor(
@@ -365,7 +355,7 @@ class CosmoState:
         object.__setattr__(self, "matrix", mat)
         d = self.basis.size
         if mat.shape != (d, d):
-            raise IncompatibleBasisError(
+            raise ValueError(
                 f"matrix is {mat.shape}, basis has {d} vectors"
             )
         defect = float(np.max(np.abs(mat - mat.conj().T)))
@@ -434,7 +424,7 @@ def cosmo_expectation(state: CosmoState, obs: np.ndarray, t: float) -> float:
     obs = np.asarray(obs, dtype=complex)
     d = state.basis.size
     if obs.shape != (d, d):
-        raise IncompatibleBasisError(f"observable is {obs.shape}, basis has {d}")
+        raise ValueError(f"observable is {obs.shape}, basis has {d}")
     e = state.shell_energies()
     phases = np.exp(-1j * t * np.subtract.outer(e, e))
     value = complex(np.sum((state.matrix * phases) * obs.T))
@@ -460,13 +450,13 @@ def diagonalize_remaining(state: CosmoState) -> list[PointerBasis]:
 
     Raises
     ------
-    NotEquilibratedError
+    ValueError
         If cross-shell blocks above 1e-10 remain; apply cosmo_weak_limit
         first.
     """
     cross = state.cross_block_magnitude()
     if cross > CROSS_BLOCK_TOL:
-        raise NotEquilibratedError(
+        raise ValueError(
             f"cross-shell blocks of magnitude {cross:.3e} remain"
         )
     shells = [
@@ -501,15 +491,6 @@ class TrajectoryEnsemble:
             raise ValueError("trajectory probabilities must be nonnegative")
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"trajectory probabilities sum to {total!r}, expected 1")
-
-    def to_csv(self, path) -> None:
-        """``component,l0,...,l{F-1},a0,probability``: one float column per
-        invariant field, in the order of the fields."""
-        l_values = np.array([e.l_values for e in self.entries], dtype=float)
-        header = ["component", *(f"l{f}" for f in range(l_values.shape[1])), "a0", "probability"]
-        a0 = [e.a0 for e in self.entries]
-        probability = [e.probability for e in self.entries]
-        write_csv(path, header, [range(len(a0)), *l_values.T, a0, probability])
 
 
 def check_l_values(l_values, shell_sizes, n_fields: int) -> None:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._csv import write_csv
 from .kernels import Observable, StateFunctional, _contract, _frozen, zero_regular
 
 IMAG_TOL = 1e-10
@@ -78,11 +77,6 @@ class DecayProfile:
         noise_floor: the ones an envelope fit may use."""
         off = self.offdiag_abs
         return off > max(ENVELOPE_FLOOR_REL * off.max(), NOISE_MARGIN * self.noise_floor)
-
-    def to_csv(self, path) -> None:
-        """Write columns t, offdiag_abs, expectation (17 significant digits)."""
-        columns = [self.times, self.offdiag_abs, self.expectations]
-        write_csv(path, ["t", "offdiag_abs", "expectation"], columns)
 
 
 def decay_profile(

@@ -1,11 +1,16 @@
 """Experiment runner: wires the modules into pipelines, emits artifacts,
 and writes a checksummed run manifest.
 
-Stages run sequentially; artifacts land in the output directory only, and
-the manifest (config hash, tool version, per-artifact sha256, wall time
-per stage) is written last.  A rerun into the same directory removes the
-old manifest before its first stage and replaces each artifact it writes.
-Identical (config, seed) pairs reproduce byte-identical artifacts.
+Stages run sequentially and only queue their artifacts.  The final stage,
+``write``, makes the output directory, removes an earlier manifest, writes
+and checksums each queued artifact (replacing any earlier file), and the
+manifest (config hash, tool version, per-artifact sha256, wall time per
+stage) is written after it.  So a run refused in any stage before
+``write`` leaves the output directory as it found it.  The modules refuse
+bad input with plain ``ValueError``; a stage re-raises a ``ConfigError``
+as a ``ConfigError`` and any other ``ValueError`` as a ``StageError``,
+each message prefixed with the stage's name.  Identical (config, seed)
+pairs reproduce byte-identical artifacts.
 """
 from __future__ import annotations
 
@@ -82,6 +87,7 @@ class RunResult:
 class _Run:
     out_dir: Path
     stages: list = field(default_factory=list)
+    queued: list = field(default_factory=list)  # (name, write) per artifact
     artifacts: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
@@ -90,30 +96,41 @@ class _Run:
         t0 = time.perf_counter()
         try:
             yield
+        except ConfigError as exc:
+            raise ConfigError(f"stage '{name}': {exc}") from exc
         except ValueError as exc:
-            # bad experiment setups surface as ValueError subclasses from the
-            # modules; annotate them with the stage (stages do not nest) and
-            # keep the exit contract
+            # the modules refuse bad experiment setups with ValueError;
+            # annotate it with the stage (stages do not nest)
             raise StageError(f"stage '{name}': {exc}") from exc
         finally:
             self.stages.append({"name": name, "seconds": time.perf_counter() - t0})
 
     def record(self, name: str, write) -> None:
-        """Write the artifact ``name`` with ``write(path)`` and checksum it,
-        read back 1 MiB at a time, so no artifact is held whole.  An earlier
-        file (or symlink) at the path is removed first: a new file is
+        """Queue the artifact ``name``; ``write(path)`` writes it in stage
+        ``write``."""
+        self.queued.append((name, write))
+
+    def write(self) -> None:
+        """Stage ``write``: make the output directory, remove an earlier
+        manifest, then write each queued artifact and checksum it, read back
+        1 MiB at a time, so no artifact is held whole.  An earlier file (or
+        symlink) at an artifact's path is removed first: a new file is
         cheaper to write than a truncated one, and a link is not followed
         out of the output directory."""
-        path = self.out_dir / name
-        path.unlink(missing_ok=True)
-        write(path)
-        digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
-        self.artifacts.append(
-            {"path": name, "sha256": digest.hexdigest(), "bytes": path.stat().st_size}
-        )
+        with self.stage("write"):
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            (self.out_dir / "manifest.json").unlink(missing_ok=True)
+            for name, writer in self.queued:
+                path = self.out_dir / name
+                path.unlink(missing_ok=True)
+                writer(path)
+                digest = hashlib.sha256()
+                with open(path, "rb") as fh:
+                    for chunk in iter(lambda: fh.read(1 << 20), b""):
+                        digest.update(chunk)
+                self.artifacts.append(
+                    {"path": name, "sha256": digest.hexdigest(), "bytes": path.stat().st_size}
+                )
 
 
 def _dump_json(payload: dict, path: Path) -> None:
@@ -128,6 +145,11 @@ def _write_csv(run: _Run, name: str, header: list[str], columns) -> None:
     run.record(name, lambda path: write_csv(path, header, columns))
 
 
+def _write_profile(run: _Run, name: str, profile) -> None:
+    columns = [profile.times, profile.offdiag_abs, profile.expectations]
+    _write_csv(run, name, ["t", "offdiag_abs", "expectation"], columns)
+
+
 _PHASE_FUNCTIONS = {
     "harmonic": harmonic_field,
     "kinetic": kinetic_field,
@@ -136,37 +158,30 @@ _PHASE_FUNCTIONS = {
 }
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _rng(seed: int | None) -> np.random.Generator:
+    if seed is None:
+        raise ConfigError(
+            "this experiment draws random inputs; provide 'seed' in the config "
+            "or pass --seed"
+        )
     return np.random.Generator(np.random.Philox(int(seed)))
-
-
-def _draws_random(config: dict) -> bool:
-    """Whether the run draws random inputs: every oracle run, and a cosmo
-    run from a random state."""
-    return config["kind"] == "oracle" or (
-        config["kind"] == "cosmo" and config["state"]["type"] == "random"
-    )
 
 
 def run_experiment(config: dict, out_dir, seed: int | None = None) -> RunResult:
     """Execute one experiment config; returns the manifest and any failed
-    declared checks.  The output directory is the only write target."""
+    declared checks.  The output directory is the only write target, and a
+    run refused before stage ``write`` leaves it as it found it."""
     seed = config.get("seed") if seed is None else seed
     if seed is not None and seed < 0:
         raise ConfigError(
             f"seed {seed} is negative; pass --seed or set 'seed' in the config to an integer >= 0"
         )
-    if seed is None and _draws_random(config):
-        raise ConfigError(
-            "this experiment draws random inputs; provide 'seed' in the config "
-            "or pass --seed"
-        )
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # no manifest vouches for a mix of old and new artifacts if this run
-    # fails; the one written last is then a new file
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.unlink(missing_ok=True)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(
+            f"--out {out_dir}: {existing} exists and is not a directory; name a directory"
+        )
     run = _Run(out_dir=out_dir)
     kind = config["kind"]
 
@@ -179,6 +194,7 @@ def run_experiment(config: dict, out_dir, seed: int | None = None) -> RunResult:
         "oracle": _run_oracle,
     }[kind]
     runner(config, run, seed)
+    run.write()
 
     manifest = {
         "kind": kind,
@@ -189,7 +205,7 @@ def run_experiment(config: dict, out_dir, seed: int | None = None) -> RunResult:
         "stages": run.stages,
         "artifacts": sorted(run.artifacts, key=lambda a: a["path"]),
     }
-    _dump_json(manifest, manifest_path)
+    _dump_json(manifest, out_dir / "manifest.json")
     return RunResult(manifest=manifest, failures=run.failures)
 
 
@@ -238,7 +254,7 @@ def _run_evolve(config, run: _Run, seed) -> None:
         grid, state, obs = _build_dephasing(config)
     with run.stage("decay-profile"):
         profile = decay_profile(state, obs, **config["times"])
-        run.record("decay.csv", profile.to_csv)
+        _write_profile(run, "decay.csv", profile)
     with run.stage("summary"):
         summary = {
             "diag_value": float(profile.diag_value),
@@ -289,7 +305,7 @@ def _run_weak_limit(config, run: _Run, seed) -> None:
         _write_csv(run, "limit_state.csv", ["omega", "rho"], columns)
     with run.stage("agreement"):
         profile = decay_profile(state, obs, **config["times"])
-        run.record("agreement.csv", profile.to_csv)
+        _write_profile(run, "agreement.csv", profile)
         tolerance = config.get("tolerance", 1e-6)
         worst = float(profile.offdiag_abs[profile.times >= t_min].max())
         summary = {
@@ -362,12 +378,12 @@ def _mode_set_from(cfg: dict) -> cosmo.ModeSet:
     return cosmo.ModeSet(k, cfg["m"], cfg["a_out"])
 
 
-def _cosmo_state_from(cfg: dict, basis, eps_shell: float, rng) -> cosmo.CosmoState:
+def _cosmo_state_from(cfg: dict, basis, eps_shell: float, seed) -> cosmo.CosmoState:
     kind = cfg["type"]
     if kind == "uniform":
         return cosmo.uniform_cosmo_state(basis, eps_shell)
     if kind == "random":
-        return cosmo.random_cosmo_state(basis, rng, cfg.get("coherence", 1.0), eps_shell)
+        return cosmo.random_cosmo_state(basis, _rng(seed), cfg.get("coherence", 1.0), eps_shell)
     for key in ("re", "im"):
         lengths = sorted({len(row) for row in cfg.get(key, [])})
         if len(lengths) > 1:
@@ -389,8 +405,6 @@ def _cosmo_state_from(cfg: dict, basis, eps_shell: float, rng) -> cosmo.CosmoSta
 
 
 def _run_cosmo(config, run: _Run, seed) -> None:
-    # the model is checked and built before the first artifact is written,
-    # so a config refused for it leaves the output directory empty
     with run.stage("inputs"):
         potential = _load_potential(config["potential"])
         mode_set = _mode_set_from(config["modes"])
@@ -399,15 +413,10 @@ def _run_cosmo(config, run: _Run, seed) -> None:
                 f"a_out={mode_set.a_out} must exceed the potential support "
                 f"a1={potential.a1}"
             )
-        rng = _rng(seed) if _draws_random(config) else None
     with run.stage("fock-basis"):
         basis = cosmo.enumerate_fock(mode_set, config["n_max"], config.get("omega_cut"))
         eps_shell = config.get("eps_shell", cosmo.DEFAULT_EPS_SHELL)
-        state = _cosmo_state_from(config["state"], basis, eps_shell, rng)
-        tcfg = config.get("trajectory", {})
-        if "l_values" in tcfg:
-            sizes = [s.stop - s.start for _, s in state.shells]
-            cosmo.check_l_values(tcfg["l_values"], sizes, len(tcfg["invariants"]))
+        state = _cosmo_state_from(config["state"], basis, eps_shell, seed)
     with run.stage("scale-factor"):
         solution = cosmo.solve_scale_factor(
             potential,
@@ -416,7 +425,8 @@ def _run_cosmo(config, run: _Run, seed) -> None:
             config["eta_max"],
             config.get("samples", 513),
         )
-        run.record("scale_factor.csv", solution.to_csv)
+        columns = [solution.eta_samples, solution.a_samples, solution.s_samples]
+        _write_csv(run, "scale_factor.csv", ["eta", "a", "S"], columns)
     with run.stage("equilibrate"):
         equilibrium = cosmo.cosmo_weak_limit(state)
         pointers = cosmo.diagonalize_remaining(equilibrium)
@@ -428,6 +438,7 @@ def _run_cosmo(config, run: _Run, seed) -> None:
 
     if "trajectory" in config:
         with run.stage("trajectories"):
+            tcfg = config["trajectory"]
             pgrid = PhaseGrid(**tcfg["phase_grid"])
             fields = [_PHASE_FUNCTIONS[f["type"]](pgrid) for f in tcfg["invariants"]]
             policy = MollifierPolicy(tcfg["epsilon"])
@@ -438,7 +449,15 @@ def _run_cosmo(config, run: _Run, seed) -> None:
                 tcfg["a0_points"],
                 l_values=tcfg.get("l_values"),
             )
-            run.record("ensemble.csv", ensemble.to_csv)
+            # component, l0, ..., l{F-1}, a0, probability: one l column per
+            # invariant field, in the order of the fields
+            entries = ensemble.entries
+            l_columns = np.array([e.l_values for e in entries], dtype=float).T
+            header = ["component", *(f"l{f}" for f in range(len(l_columns))), "a0", "probability"]
+            a0 = [e.a0 for e in entries]
+            probability = [e.probability for e in entries]
+            columns = [range(len(entries)), *l_columns, a0, probability]
+            _write_csv(run, "ensemble.csv", header, columns)
             run.record("density.wpf", lambda p: write_phase_field(density.field, p))
 
     with run.stage("summary"):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
 
 WEIGHT_SUM_RTOL = 1e-12
 HERMITICITY_TOL = 1e-12
@@ -317,7 +316,7 @@ class Observable:
 
     def __post_init__(self):
         if self.singular.grid != self.regular.grid:
-            raise GridMismatchError("observable parts live on different grids")
+            raise ValueError("observable parts live on different grids")
         if self.self_adjoint:
             im = float(np.max(np.abs(self.singular.values.imag)))
             if im > HERMITICITY_TOL:
@@ -350,7 +349,7 @@ class StateFunctional:
 
     def __post_init__(self):
         if self.singular.grid != self.regular.grid:
-            raise GridMismatchError("state parts live on different grids")
+            raise ValueError("state parts live on different grids")
 
     @property
     def grid(self) -> EnergyGrid:
@@ -412,7 +411,7 @@ def _contract(
     In all, rounded up: noise_floor = (4 n + 8 + 26 w_max M) eps l1.
     """
     if state.grid != obs.grid:
-        raise GridMismatchError("state and observable live on different grids")
+        raise ValueError("state and observable live on different grids")
     if count == 1:
         stop = start  # the one sample
     step = (stop - start) / max(count - 1, 1)

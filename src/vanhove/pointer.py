@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidShellError
 from .kernels import _frozen
 
 SHELL_HERMITICITY_TOL = 1e-12
@@ -94,12 +93,12 @@ def diagonalize_shell(shell: ShellState) -> PointerBasis:
 
     Raises
     ------
-    InvalidShellError
+    ValueError
         If the block is not Hermitian within 1e-12.
     """
     defect = shell.hermiticity_defect()
     if defect > SHELL_HERMITICITY_TOL:
-        raise InvalidShellError(
+        raise ValueError(
             f"shell at omega={shell.omega} has hermiticity defect {defect:.3e}"
         )
     block = 0.5 * (shell.block + shell.block.conj().T)

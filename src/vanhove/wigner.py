@@ -26,7 +26,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateSupportError, DomainMismatchError, GridMismatchError
 from .kernels import SingularKernel, _frozen
 
 DEGENERATE_MASS_TOL = 1e-6
@@ -150,7 +149,7 @@ class ClassicalDensity:
 
     def __post_init__(self):
         if self.field.grid != self.hfield.grid:
-            raise GridMismatchError("density and Hamiltonian field grids differ")
+            raise ValueError("density and Hamiltonian field grids differ")
         if float(np.min(self.field.values)) < -1e-12:
             raise ValueError("classical density has negative values")
 
@@ -284,7 +283,7 @@ class ConstraintSet:
             raise ValueError("need at least one constraint field")
         for f in self.fields[1:]:
             if f.grid != self.fields[0].grid:
-                raise GridMismatchError("invariant fields live on different grids")
+                raise ValueError("invariant fields live on different grids")
         for f in self.fields:
             res = _field_resolution(f)
             if policy.epsilon <= res:
@@ -421,14 +420,13 @@ class ConstraintSet:
 
 def _supported(constraints: ConstraintSet, levels, weights) -> ClassicalDensity:
     """The summed density of components that must each have support; raises
-    DegenerateSupportError for the first whose mass is below tolerance."""
+    ValueError for the first whose mass is below tolerance."""
     totals, masses = constraints.summed(levels, weights)
     for lv, mass in zip(np.asarray(levels), masses):
         if mass < DEGENERATE_MASS_TOL:
-            raise DegenerateSupportError(
+            raise ValueError(
                 f"constraint product has raw mass {mass:.3e}; "
-                f"level values {lv.tolist()} have empty intersection",
-                raw_mass=float(mass),
+                f"level values {lv.tolist()} have empty intersection"
             )
     return constraints.density(totals)
 
@@ -445,7 +443,7 @@ def wigner_singular(obs_singular: SingularKernel, hfield: PhaseField) -> PhaseFi
     points = obs_singular.grid.points
     h = hfield.values
     if float(h.max()) < points[0] or float(h.min()) > points[-1]:
-        raise DomainMismatchError(
+        raise ValueError(
             "Hamiltonian field values lie entirely outside the energy grid"
         )
     out = np.interp(h, points, vals.real, left=0.0, right=0.0)
@@ -473,7 +471,7 @@ def classical_expectation(rho_field: ClassicalDensity, obs_field: PhaseField) ->
     """Energy-space mean value: bin both fields by H, average per bin,
     integrate the product over H only (never over the conjugate variable)."""
     if rho_field.field.grid != obs_field.grid:
-        raise GridMismatchError("density and observable field grids differ")
+        raise ValueError("density and observable field grids differ")
     bins = rho_field.bins
     rho_means = bins.means(rho_field.field.values)
     obs_means = bins.means(obs_field.values)
@@ -490,7 +488,7 @@ def liouville_residual(density, hfield: PhaseField) -> float:
     """
     field = density.field if isinstance(density, ClassicalDensity) else density
     if field.grid != hfield.grid:
-        raise GridMismatchError("density and Hamiltonian field grids differ")
+        raise ValueError("density and Hamiltonian field grids differ")
     if field.grid.nq < 3 or field.grid.np < 3:
         raise ValueError("need at least one interior cell")
     h, r = hfield.values, field.values

@@ -25,6 +25,7 @@ from vanhove import (
     cosmo_weak_limit,
     diagonalize_remaining,
     enumerate_fock,
+    make_grid,
     solve_scale_factor,
     sqrt_prime_modes,
     trajectory_ensemble,
@@ -75,6 +76,30 @@ def test_refactor_gate_reports_added_removed_and_changed(tmp_path, monkeypatch, 
     earlier.write_text(json.dumps(now))
     assert gate.main(["--against", str(earlier)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_refactor_gate_refuses_a_directory_its_manifest_does_not_vouch_for(tmp_path, capsys):
+    gate = refactor_gate()
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("a.csv", "b.csv"):
+        (out / name).write_bytes(name.encode())
+    listed = {"a.csv": hashlib.sha256(b"a.csv").hexdigest(), "b.csv": "0" * 64}
+    manifest = {"artifacts": [{"path": k, "sha256": v} for k, v in listed.items()]}
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(SystemExit) as exc:
+        gate.vouched(out)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines() == ["mismatched: run/b.csv"]
+    listed["b.csv"] = hashlib.sha256(b"b.csv").hexdigest()
+    manifest = {"artifacts": [{"path": k, "sha256": v} for k, v in listed.items()]}
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert gate.vouched(out) == listed
+    (out / "c.csv").write_bytes(b"")
+    (out / "a.csv").unlink()
+    with pytest.raises(SystemExit):
+        gate.vouched(out)
+    assert capsys.readouterr().err.splitlines() == ["unlisted: run/c.csv", "missing: run/a.csv"]
 
 
 def gaussian_evolve_config(n=256, **extra):
@@ -489,6 +514,7 @@ class TestEvolveArtifacts:
               "--out", str(out)])
         raw = (out / "decay.csv").read_bytes()
         assert b"\r" not in raw
+        assert raw.endswith(b"\n") and not raw.endswith(b"\n\n")
         lines = raw.decode().splitlines()
         assert lines[0] == "t,offdiag_abs,expectation"
         assert len(lines) == 34
@@ -533,7 +559,7 @@ class TestWeakLimitKind:
         rc = main(["weak-limit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
         assert rc == 2
         assert "t_min = 61 is past the last time sample t = 60" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["evolve", "weak-limit"])
     def test_reversed_times_are_2(self, tmp_path, capsys, kind):
@@ -547,7 +573,7 @@ class TestWeakLimitKind:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'times/stop' = 0 is before 'times/start' = 20" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestDephasingReadBack:
@@ -662,6 +688,7 @@ def test_record_hashes_an_artifact_a_mib_at_a_time(tmp_path):
     data = np.random.default_rng(0).bytes(2 * 2**20 + 12345)
     run = _Run(out_dir=tmp_path)
     run.record("blob.bin", lambda path: path.write_bytes(data))
+    run.write()
     assert run.artifacts == [{"path": "blob.bin", "sha256": hashlib.sha256(data).hexdigest(),
                               "bytes": len(data)}]
 
@@ -709,6 +736,7 @@ class TestCosmoKind:
         assert sum(probs) == pytest.approx(1.0)
         scale = (out / "scale_factor.csv").read_text().splitlines()
         assert scale[0] == "eta,a,S"
+        assert len(scale) == 1 + 513
         manifest = json.loads((out / "manifest.json").read_text())
         listed = {a["path"]: a for a in manifest["artifacts"]}
         assert set(listed) == {"scale_factor.csv", "spectrum.csv", "ensemble.csv",
@@ -793,7 +821,7 @@ class TestCosmoKind:
         assert self.run_table_potential(tmp_path, "a,V\n0.0,2.0\n0.5,0.0\n1.0,2.0\n") == 2
         err = capsys.readouterr().err
         assert "sample 1 (a = 0.5)" in err
-        assert list((tmp_path / "table").iterdir()) == []
+        assert not (tmp_path / "table").exists()
 
     def test_tol_is_refused(self, tmp_path, capsys):
         # the scale factor is solved in closed form: no tolerance to set
@@ -810,8 +838,8 @@ class TestCosmoKind:
         out = tmp_path / "out"
         rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
         assert rc == 2
-        assert "a_out" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert capsys.readouterr().err.startswith("config error: stage 'inputs': a_out")
+        assert not out.exists()
 
     def test_sqrt_prime_generator(self, tmp_path):
         cfg = self.config()
@@ -858,9 +886,9 @@ class TestCosmoKind:
         rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "stage 'fock-basis'" in err
+        assert "stage 'trajectories'" in err
         assert "missing components: of the 3 energy shells, shell 1 has 2" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_several_invariants_require_l_values(self, tmp_path, capsys):
         cfg = self.config()
@@ -887,9 +915,9 @@ class TestCosmoKind:
         rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "stage 'fock-basis'" in err
+        assert "stage 'trajectories'" in err
         assert "l values extra components" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("im", [[[0.0]], [[0.0, 0.0, 0.0, 0.0]]])
     def test_explicit_im_of_another_shape_is_2(self, tmp_path, capsys, im):
@@ -900,7 +928,7 @@ class TestCosmoKind:
         rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
         assert rc == 2
         assert "field 'state/im' has shape" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "state",
@@ -919,7 +947,7 @@ class TestCosmoKind:
         rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
         assert rc == 2
         assert f"field '{field}' has rows of lengths [1, 2]" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("trajectory", [True, False], ids=["trajectory", "no-trajectory"])
     def test_explicit_state_with_a_negative_eigenvalue_is_2(self, tmp_path, capsys, trajectory):
@@ -933,9 +961,9 @@ class TestCosmoKind:
         rc = main(["cosmo", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "field 'state/re'" in err
+        assert err.startswith("config error: stage 'fock-basis': field 'state/re'")
         assert "smallest eigenvalue is -0.2" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_pure_explicit_state_runs(self, tmp_path):
         # |psi><psi| has eigenvalue 1 and three zeros, which eigvalsh may
@@ -1176,25 +1204,135 @@ class TestOutputDirectory:
         return cfg
 
     @pytest.mark.parametrize("kind", ["cosmo", "wigner"])
-    def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys, kind):
-        # the cosmo rerun is refused before its first artifact (l_values of
-        # the wrong shape), the wigner rerun after it (an observable table
-        # with the wrong header is read in stage 'summary')
+    def test_refused_rerun_leaves_the_previous_run_as_it_was(self, tmp_path, capsys, kind):
+        # the cosmo rerun is refused in stage 'trajectories' (l_values of the
+        # wrong shape), the wigner rerun in stage 'summary' (an observable
+        # table with the wrong header), each after stages that had artifacts
         if kind == "cosmo":
             good = TestCosmoKind().config()
             bad = copy.deepcopy(good)
             bad["trajectory"]["l_values"] = [[[0.3]]]
         else:
-            (tmp_path / "obs.csv").write_text("omega,bad\n0.0,1.0\n")
-            good, bad = self.wigner_config(), self.wigner_config("obs.csv")
+            good, bad = self.wigner_config(), self.wigner_bad_observable_table(tmp_path)
         out = tmp_path / "out"
         assert main([kind, "--config", str(write_config(tmp_path, good)), "--out", str(out)]) == 0
-        assert (out / "manifest.json").exists()
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
         rc = main([kind, "--config", str(write_config(tmp_path, bad, "bad.json")),
                    "--out", str(out)])
         assert rc == 2
         assert "stage" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        # exactly the listed artifacts and the manifest, each with its sha256
+        refactor_gate().vouched(out)
+
+    @staticmethod
+    def complex_singular_weak_limit(tmp_path):
+        # a state whose singular table has an imaginary part: decay_profile
+        # refuses its diagonal term in stage 'agreement', after the weak limit
+        rows = ["omega,re,im\n"]
+        for w in make_grid(10.0, 64).points.tolist():
+            rho = float(np.exp(-(w - 5.0) ** 2))
+            rows.append(f"{w!r},{rho!r},{0.5 * rho!r}\n")
+        (tmp_path / "state.csv").write_text("".join(rows))
+        cfg = gaussian_evolve_config(n=64)
+        cfg.update(kind="weak-limit", times={"start": 0.0, "stop": 10.0, "count": 5})
+        cfg["state"] = {"singular": {"type": "table", "path": "state.csv"}, "normalize": False}
+        return cfg
+
+    @staticmethod
+    def wigner_bad_observable_table(tmp_path):
+        (tmp_path / "obs.csv").write_text("omega,bad\n0.0,1.0\n")
+        return TestOutputDirectory.wigner_config("obs.csv")
+
+    @staticmethod
+    def cosmo_trajectory(**trajectory):
+        cfg = TestCosmoKind().config()
+        cfg["trajectory"].update(trajectory)
+        return cfg
+
+    @pytest.mark.parametrize(
+        "make_config, message",
+        [
+            pytest.param(complex_singular_weak_limit,
+                         "setup error: stage 'agreement': diagonal term of a self-adjoint",
+                         id="weak-limit-complex-table"),
+            pytest.param(wigner_bad_observable_table,
+                         "config error: stage 'summary': table", id="wigner-table-header"),
+            pytest.param(lambda tmp_path: TestOutputDirectory.cosmo_trajectory(epsilon=0.001),
+                         "setup error: stage 'trajectories': mollifier width",
+                         id="cosmo-epsilon"),
+            pytest.param(lambda tmp_path: TestOutputDirectory.cosmo_trajectory(
+                             phase_grid={"q_range": [1.0, 1.0], "p_range": [-2.5, 2.5],
+                                         "nq": 121, "np": 121}),
+                         "setup error: stage 'trajectories': phase grid ranges",
+                         id="cosmo-q-range"),
+        ],
+    )
+    def test_late_refusal_writes_nothing(self, tmp_path, capsys, make_config, message):
+        cfg = make_config(tmp_path)
+        out = tmp_path / "out"
+        rc = main([cfg["kind"], "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "make_config, module, name, stage",
+        [
+            (gaussian_evolve_config, harness, "validate_state", "summary"),
+            (lambda: TestWeakLimitKind().config(1e-6), harness, "decay_profile", "agreement"),
+            (lambda: {**TestOutputDirectory.wigner_config(),
+                      "observable": {"singular": {"type": "gaussian", "mu": 1.2, "sigma": 0.5}}},
+             harness, "pair", "summary"),
+            (lambda: TestCosmoKind().config(), harness.cosmo, "trajectory_ensemble",
+             "trajectories"),
+            (lambda: {"kind": "validate", "grid": {"omega_max": 10.0, "n": 32},
+                      "state": {"singular": {"type": "gaussian", "mu": 5.0, "sigma": 1.0}}},
+             harness, "validate_state", "validate"),
+            (lambda: {"kind": "oracle", "target": "pair", "n": 8, "trials": 2, "seed": 3},
+             harness, "dense_pair_oracle", "pair-trials"),
+        ],
+        ids=["evolve", "weak-limit", "wigner", "cosmo", "validate", "oracle"],
+    )
+    def test_value_error_in_the_last_library_call_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, make_config, module, name, stage
+    ):
+        def refuse(*args, **kwargs):
+            raise ValueError("refused on purpose")
+
+        monkeypatch.setattr(module, name, refuse)
+        cfg = make_config()
+        out = tmp_path / "out"
+        rc = main([cfg["kind"], "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"setup error: stage '{stage}': refused on purpose\n"
+        assert not out.exists()
+
+    def test_failure_in_the_write_stage_leaves_no_manifest(self, tmp_path, capsys, monkeypatch):
+        # density.wpf is written after the three cosmo CSVs: no manifest may
+        # vouch for the mix of new CSVs and the old density
+        path = write_config(tmp_path, TestCosmoKind().config())
+        out = tmp_path / "out"
+        assert main(["cosmo", "--config", str(path), "--out", str(out)]) == 0
+
+        def refuse(field, path):
+            raise ValueError("disk refused the density")
+
+        monkeypatch.setattr(harness, "write_phase_field", refuse)
+        assert main(["cosmo", "--config", str(path), "--out", str(out)]) == 2
+        assert "setup error: stage 'write': disk refused the density" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_out_naming_a_file_is_2(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"not a directory\n")
+        out = taken / "out" if below else taken
+        path = write_config(tmp_path, gaussian_evolve_config())
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out}: {taken} exists and is not a directory")
+        assert taken.read_bytes() == b"not a directory\n"
 
     @pytest.mark.parametrize("name", ["decay.csv", "summary.json", "manifest.json"])
     def test_symlinked_artifact_is_replaced_not_written_through(self, tmp_path, name):

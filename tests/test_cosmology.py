@@ -8,11 +8,8 @@ from hypothesis import given, settings, strategies as st
 import vanhove
 from vanhove import (
     CosmoState,
-    IncompatibleBasisError,
-    InvalidPotentialError,
     MollifierPolicy,
     ModeSet,
-    NotEquilibratedError,
     PhaseGrid,
     constant_potential,
     cosmo_expectation,
@@ -73,11 +70,11 @@ class TestPotential:
         assert pot.value(3.0) == 0.0
 
     def test_negative_table_rejected(self):
-        with pytest.raises(InvalidPotentialError):
+        with pytest.raises(ValueError, match="table potential has negative values"):
             table_potential([0.0, 1.0], [1.0, -0.5])
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(InvalidPotentialError):
+        with pytest.raises(ValueError, match="energy density must be nonnegative"):
             constant_potential(-1.0, a1=1.0)
 
     @pytest.mark.parametrize(
@@ -90,7 +87,7 @@ class TestPotential:
     )
     def test_zero_inside_support_rejected(self, a, v, index):
         # the path could rest at the zero or leave it: no unique a(eta)
-        with pytest.raises(InvalidPotentialError, match=rf"sample {index} \(a = {a[index]}\)"):
+        with pytest.raises(ValueError, match=rf"sample {index} \(a = {a[index]}\)"):
             table_potential(a, v, a1=1.0)
 
 
@@ -212,15 +209,6 @@ class TestScaleFactor:
             solve_scale_factor(pot, a0=0.5, branch=2, eta_max=1.0)
         with pytest.raises(ValueError, match="eta_max"):
             solve_scale_factor(pot, a0=0.5, branch=1, eta_max=0.0)
-
-    def test_csv_export(self, tmp_path):
-        pot = constant_potential(2.0, a1=1.0)
-        sol = solve_scale_factor(pot, a0=0.2, branch=1, eta_max=1.0, n_samples=9)
-        path = tmp_path / "sf.csv"
-        sol.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "eta,a,S"
-        assert len(lines) == 10
 
 
 @st.composite
@@ -376,7 +364,7 @@ class TestCosmoState:
         bad[0, 1] = 0.5
         with pytest.raises(ValueError):
             CosmoState(basis, bad)  # not hermitian
-        with pytest.raises(IncompatibleBasisError):
+        with pytest.raises(ValueError, match=r"matrix is \(4, 4\), basis has"):
             CosmoState(basis, np.eye(4) / 4.0)
 
     def test_random_state_positive(self):
@@ -424,7 +412,7 @@ class TestCosmoExpectation:
 
     def test_dimension_mismatch(self):
         state = uniform_cosmo_state(degenerate_basis())
-        with pytest.raises(IncompatibleBasisError):
+        with pytest.raises(ValueError, match=r"observable is \(3, 3\), basis has"):
             cosmo_expectation(state, np.eye(3), 0.0)
 
 
@@ -471,7 +459,7 @@ class TestDiagonalizeRemaining:
         rng = np.random.default_rng(23)
         state = random_cosmo_state(degenerate_basis(), rng, coherence=1.0)
         assert state.cross_block_magnitude() > 1e-10
-        with pytest.raises(NotEquilibratedError):
+        with pytest.raises(ValueError, match="cross-shell blocks of magnitude"):
             diagonalize_remaining(state)
 
     def test_singleton_shells(self):

@@ -109,11 +109,9 @@ class TestExpectation:
         )
 
     def test_grid_mismatch(self):
-        from vanhove import GridMismatchError
-
         _, state, _ = gaussian_pair(16)
         identity = observable_from_descriptors(make_grid(10.0, 17), {"type": "uniform"})
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(ValueError, match="state and observable live on different grids"):
             pair(evolve(state, 0.0), identity)
 
     def test_late_time_against_fine_quadrature_oracle(self):
@@ -207,16 +205,6 @@ class TestDecayProfile:
         _, state, obs = gaussian_pair(8)
         with pytest.raises(ValueError, match="finite start <= stop"):
             decay_profile(state, obs, start, stop, 3)
-
-    def test_csv_export(self, tmp_path):
-        _, state, obs = gaussian_pair(32)
-        prof = decay_profile(state, obs, 0.0, 1.0, 2)
-        path = tmp_path / "decay.csv"
-        prof.to_csv(path)
-        lines = path.read_bytes().split(b"\n")
-        assert lines[0] == b"t,offdiag_abs,expectation"
-        assert len(lines) == 4 and lines[-1] == b""
-        assert b"\r" not in path.read_bytes()
 
 
 class TestDecoherenceTime:

@@ -3,7 +3,6 @@ import pytest
 
 from vanhove import (
     EnergyGrid,
-    GridMismatchError,
     Observable,
     RegularKernel,
     SingularKernel,
@@ -165,7 +164,7 @@ class TestPair:
         assert abs(got - ref) < 1e-10 * max(1.0, abs(ref))
 
     def test_grid_mismatch(self):
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(ValueError, match="state and observable live on different grids"):
             pair(
                 uniform_state(make_grid(10.0, 8)),
                 observable_from_descriptors(make_grid(10.0, 9), {"type": "uniform"}),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vanhove import InvalidShellError, ShellState, diagonalize_shell, pointer_state
+from vanhove import ShellState, diagonalize_shell, pointer_state
 
 
 def jacobi_eigh(matrix, max_sweeps=60, tol=1e-14):
@@ -86,7 +86,7 @@ class TestDiagonalizeShell:
     def test_non_hermitian_rejected(self):
         block = np.zeros((2, 2), dtype=complex)
         block[0, 1] = 1.0
-        with pytest.raises(InvalidShellError):
+        with pytest.raises(ValueError, match="hermiticity defect"):
             diagonalize_shell(ShellState(0.0, (0, 1), block))
 
     def test_trace_preserved(self):

@@ -15,7 +15,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from vanhove import (
     CosmoState,
-    DegenerateSupportError,
     ModeSet,
     MollifierPolicy,
     Observable,
@@ -540,7 +539,7 @@ def test_distinct_value_mollifier_is_the_per_cell_product(problem, weight):
     assert_summed_matches_reference(fields, eps, [levels], [weight], values, masses)
     if masses[0] < DEGENERATE_MASS_TOL:
         assert not values.any()
-        with pytest.raises(DegenerateSupportError):
+        with pytest.raises(ValueError, match="raw mass"):
             _supported(constraints, [levels], [1.0])
     else:
         density = _supported(constraints, [levels], [1.0])
@@ -622,9 +621,8 @@ def test_summed_density_drops_only_factors_out_of_reach(problem, data):
 
     # a component with no value in reach has no mass at all, and is refused
     assert masses[empty] == 0.0
-    with pytest.raises(DegenerateSupportError) as refused:
+    with pytest.raises(ValueError, match=r"raw mass 0\.000e\+00;"):
         _supported(constraints, [levels[empty]], [1.0])
-    assert refused.value.raw_mass == 0.0
 
     # any component order gives the same sum, and masses in the caller's order
     order = np.array(data.draw(st.permutations(range(len(levels)))))

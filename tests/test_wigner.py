@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -6,9 +7,6 @@ from hypothesis import assume, given, strategies as st
 
 from vanhove import (
     ClassicalDensity,
-    DegenerateSupportError,
-    DomainMismatchError,
-    GridMismatchError,
     MollifierPolicy,
     PhaseField,
     PhaseGrid,
@@ -112,7 +110,7 @@ class TestWignerSingular:
         grid = make_grid(0.5, 9)
         pgrid = PhaseGrid((4.0, 5.0), (4.0, 5.0), 11, 11)
         hfield = harmonic_field(pgrid)  # H >= 16 everywhere
-        with pytest.raises(DomainMismatchError):
+        with pytest.raises(ValueError, match="entirely outside the energy grid"):
             wigner_singular(SingularKernel(grid, np.ones(9, dtype=complex)), hfield)
 
     def test_complex_kernel_rejected(self):
@@ -295,7 +293,7 @@ class TestClassicalExpectation:
         state = state_from_descriptors(self.grid, {"type": "uniform"})
         density = classical_state_density(state.singular, self.hfield, self.policy)
         other = PhaseField(square_grid(2.8, 99), np.ones((99, 99)))
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(ValueError, match="density and observable field grids differ"):
             classical_expectation(density, other)
 
 
@@ -332,9 +330,9 @@ class TestMultiInvariantDensity:
         pgrid = square_grid(1.4, 101)
         fields = [harmonic_field(pgrid), momentum_field(pgrid)]
         constraints = ConstraintSet(fields, MollifierPolicy(0.05))
-        with pytest.raises(DegenerateSupportError) as err:
+        with pytest.raises(ValueError, match="raw mass") as err:
             _supported(constraints, [[1.0, 10.0]], [1.0])
-        assert err.value.raw_mass < 1e-6
+        assert float(re.search(r"raw mass (\S+);", str(err.value)).group(1)) < 1e-6
 
     def test_length_mismatch(self):
         # epsilon resolves the grid, so the weight and level counts are what is refused
@@ -346,7 +344,7 @@ class TestMultiInvariantDensity:
             constraints.summed([[1.0, 2.0]], [1.0])
 
     def test_mixed_grids_rejected(self):
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(ValueError, match="invariant fields live on different grids"):
             ConstraintSet(
                 [harmonic_field(square_grid(1.5, 41)), momentum_field(square_grid(1.5, 43))],
                 MollifierPolicy(0.1),

@@ -10,10 +10,15 @@ Usage: python3 tools/refactor_gate.py [--against EARLIER_OUTPUT.json]
 
 Prints {config: {artifact: sha256}}; with --against it exits 1 and lists
 each artifact that is new (``added:``), gone (``removed:``) or has other
-bytes (``changed:``).  The sha256s depend on the numpy/BLAS build.
+bytes (``changed:``).  The sha256s depend on the numpy/BLAS build.  Each
+run's directory must hold exactly its manifest's artifacts and
+``manifest.json``, each with the listed sha256: otherwise the gate exits 1
+and lists each file that is not listed (``unlisted:``), not there
+(``missing:``) or has other bytes than listed (``mismatched:``).
 """
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -129,9 +134,29 @@ def gate(workdir: Path) -> dict:
         # the validate configs fail their normalization check on purpose
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             vanhove_main(argv)
-        manifest = json.loads((out / "manifest.json").read_text())
-        digests[name] = {a["path"]: a["sha256"] for a in manifest["artifacts"]}
+        digests[name] = vouched(out)
     return digests
+
+
+def vouched(out: Path) -> dict:
+    """{artifact: sha256} of the manifest in ``out``; exits 1, naming each
+    fault, unless the directory holds exactly those artifacts and the
+    manifest, each with the listed sha256."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = {a["path"]: a["sha256"] for a in manifest["artifacts"]}
+    found = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+             for path in out.iterdir() if path.name != "manifest.json"}
+    faults = {
+        "unlisted": found.keys() - listed.keys(),
+        "missing": listed.keys() - found.keys(),
+        "mismatched": {k for k in listed.keys() & found.keys() if listed[k] != found[k]},
+    }
+    for kind, names in faults.items():
+        for name in sorted(names):
+            print(f"{kind}: {out.name}/{name}", file=sys.stderr)
+    if any(faults.values()):
+        raise SystemExit(1)
+    return listed
 
 
 def _flat(digests: dict) -> dict:
